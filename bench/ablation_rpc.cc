@@ -42,7 +42,7 @@ measure(const net::RpcCosts &costs)
     auto &client_node = net.addNode("client", net::alphaStation255(),
                                     net::oc3Link(), costs);
     NasdClient client(net, client_node, drive);
-    bench::runTask(sim, drive.format());
+    runTask(sim, drive.format());
     auto part = drive.store().createPartition(0, 256 * kMB);
     (void)part;
 
@@ -51,7 +51,7 @@ measure(const net::RpcCosts &costs)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = bench::runFor(sim, client.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, client.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = 0;
     po.object_id = oid;
@@ -59,17 +59,17 @@ measure(const net::RpcCosts &costs)
     CredentialFactory cred(issuer.mint(po));
 
     const std::vector<std::uint8_t> data(2 * kMB, 7);
-    auto w = bench::runFor(sim, client.write(cred, 0, data));
+    auto w = runFor(sim, client.write(cred, 0, data));
     (void)w;
     for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB)
-        (void)bench::runFor(sim, client.read(cred, off, 512 * kKB));
+        (void)runFor(sim, client.read(cred, off, 512 * kKB));
 
     Point p;
     sim::Tick start = sim.now();
     std::uint64_t moved = 0;
     for (int pass = 0; pass < 4; ++pass) {
         for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB) {
-            auto r = bench::runFor(sim, client.read(cred, off, 512 * kKB));
+            auto r = runFor(sim, client.read(cred, off, 512 * kKB));
             moved += r.ok() ? r.value().size() : 0;
         }
     }
@@ -77,10 +77,10 @@ measure(const net::RpcCosts &costs)
         static_cast<double>(moved) / sim::toSeconds(sim.now() - start));
 
     // Small-op latency: warm getattr.
-    (void)bench::runFor(sim, client.getAttr(cred));
+    (void)runFor(sim, client.getAttr(cred));
     start = sim.now();
     for (int i = 0; i < 8; ++i)
-        (void)bench::runFor(sim, client.getAttr(cred));
+        (void)runFor(sim, client.getAttr(cred));
     p.small_op_ms = sim::toMillis(sim.now() - start) / 8.0;
     return p;
 }

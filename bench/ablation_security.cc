@@ -34,10 +34,9 @@ measure(SecurityLevel level)
     cfg.security = level;
     NasdDrive drive(sim, net, std::move(cfg));
     CapabilityIssuer issuer(drive.config().master_key, 1);
-    auto &client_node = net.addNode("client", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
+    auto &client_node = net::addClientNode(net, "client");
     NasdClient client(net, client_node, drive);
-    bench::runTask(sim, drive.format());
+    runTask(sim, drive.format());
     auto part = drive.store().createPartition(0, 256 * kMB);
     (void)part;
 
@@ -46,7 +45,7 @@ measure(SecurityLevel level)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = bench::runFor(sim, client.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, client.create(pcred, 0)).value();
 
     CapabilityPublic po;
     po.partition = 0;
@@ -55,17 +54,17 @@ measure(SecurityLevel level)
     CredentialFactory cred(issuer.mint(po));
 
     const std::vector<std::uint8_t> data(2 * kMB, 7);
-    auto w = bench::runFor(sim, client.write(cred, 0, data));
+    auto w = runFor(sim, client.write(cred, 0, data));
     (void)w;
     // Warm pass.
     for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB)
-        (void)bench::runFor(sim, client.read(cred, off, 512 * kKB));
+        (void)runFor(sim, client.read(cred, off, 512 * kKB));
 
     const sim::Tick start = sim.now();
     std::uint64_t moved = 0;
     for (int pass = 0; pass < 4; ++pass) {
         for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB) {
-            auto r = bench::runFor(sim, client.read(cred, off, 512 * kKB));
+            auto r = runFor(sim, client.read(cred, off, 512 * kKB));
             moved += r.ok() ? r.value().size() : 0;
         }
     }

@@ -36,51 +36,40 @@ measure(std::uint64_t stripe_unit)
 {
     sim::Simulator sim;
     net::Network net(sim);
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        auto cfg = prototypeDriveConfig("nasd" + std::to_string(i), i + 1);
-        // Small drive cache so the sweep measures the media path (the
-        // 96 MB working set must not fit in aggregate drive DRAM).
+    // Small drive cache so the sweep measures the media path (the 96 MB
+    // working set must not fit in aggregate drive DRAM).
+    DriveArray drives(sim, net, kDrives, [](DriveConfig &cfg) {
         cfg.store.data_cache_bytes = 4 * kMB;
-        drives.push_back(
-            std::make_unique<NasdDrive>(sim, net, std::move(cfg)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, storage.initialize(1024 * kMB));
+    });
+    auto &mgr_node = net::addServerNode(net, "mgr");
+    cheops::CheopsManager storage(sim, net, mgr_node, drives.all(), 0);
+    runTask(sim, storage.initialize(1024 * kMB));
     pfs::PfsManager manager(storage);
 
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    pfs::PfsClient loader(net, loader_node, manager, raw);
-    auto handle = bench::runFor(sim, loader.open("sales", true, true,
-                                                 stripe_unit)).value();
+    auto &loader_node = net::addClientNode(net, "loader");
+    pfs::PfsClient loader(net, loader_node, manager, drives.all());
+    auto handle =
+        runFor(sim, loader.open("sales", true, true, stripe_unit)).value();
     apps::DatasetParams params;
     params.catalog_items = kCatalogItems;
     apps::TransactionGenerator gen(params);
     const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
     for (std::uint64_t c = 0; c < chunks; ++c) {
-        auto w = bench::runFor(sim, loader.write(
-                                        handle, c * apps::kChunkBytes,
-                                        gen.chunk(c)));
+        auto w = runFor(sim, loader.write(handle, c * apps::kChunkBytes,
+                                          gen.chunk(c)));
         (void)w;
     }
-    for (auto *d : raw)
-        bench::runTask(sim, d->store().flushAll());
+    for (auto *d : drives)
+        runTask(sim, d->store().flushAll());
 
     std::vector<std::unique_ptr<pfs::PfsClient>> clients;
     std::vector<apps::ItemCounts> partials(
         kDrives, apps::ItemCounts(kCatalogItems, 0));
     for (int i = 0; i < kDrives; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
+        auto &node = net::addClientNode(net, "client" + std::to_string(i));
         clients.push_back(
-            std::make_unique<pfs::PfsClient>(net, node, manager, raw));
-        auto h = bench::runFor(sim,
+            std::make_unique<pfs::PfsClient>(net, node, manager, drives.all()));
+        auto h = runFor(sim,
                                clients.back()->open("sales", false, false));
         (void)h;
     }

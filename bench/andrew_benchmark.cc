@@ -73,8 +73,7 @@ nfsTime(int n)
 {
     sim::Simulator sim;
     net::Network net(sim);
-    auto &server_node = net.addNode("server", net::alphaStation500(),
-                                    net::oc3Link(), net::dceRpcCosts());
+    auto &server_node = net::addServerNode(net, "server");
     std::vector<std::unique_ptr<disk::DiskModel>> disks;
     std::vector<disk::BlockDevice *> members;
     for (int i = 0; i < 2 * n; ++i) {
@@ -84,7 +83,7 @@ nfsTime(int n)
     }
     disk::StripingDriver stripe(sim, members, 32 * kKB);
     fs::FfsFileSystem ffs(sim, stripe, &server_node.cpu());
-    bench::runTask(sim, ffs.format());
+    runTask(sim, ffs.format());
     fs::NfsServer server(sim, server_node);
     const auto volume = server.addVolume(ffs);
 
@@ -92,12 +91,10 @@ nfsTime(int n)
     std::vector<std::unique_ptr<apps::NfsAndrewTarget>> targets;
     std::vector<sim::CpuResource *> cpus;
     for (int i = 0; i < n; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
+        auto &node = net::addClientNode(net, "client" + std::to_string(i));
         clients.push_back(
             std::make_unique<fs::NfsClient>(net, node, server));
-        auto sub = bench::runFor(
+        auto sub = runFor(
             sim, clients.back()->mkdir(server.rootHandle(volume),
                                        "w" + std::to_string(i)));
         NASD_ASSERT(sub.ok(), "andrew setup: nfs mkdir failed");
@@ -114,29 +111,19 @@ nasdTime(int n)
 {
     sim::Simulator sim;
     net::Network net(sim);
-    auto &fm_node = net.addNode("fm", net::alphaStation500(),
-                                net::oc3Link(), net::dceRpcCosts());
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < n; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    fs::NasdNfsFileManager fm(sim, net, fm_node, raw, 0);
-    bench::runTask(sim, fm.initialize(1024 * kMB));
+    auto &fm_node = net::addServerNode(net, "fm");
+    DriveArray drives(sim, net, n);
+    fs::NasdNfsFileManager fm(sim, net, fm_node, drives.all(), 0);
+    runTask(sim, fm.initialize(1024 * kMB));
 
     std::vector<std::unique_ptr<fs::NasdNfsClient>> clients;
     std::vector<std::unique_ptr<apps::NasdNfsAndrewTarget>> targets;
     std::vector<sim::CpuResource *> cpus;
     for (int i = 0; i < n; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
+        auto &node = net::addClientNode(net, "client" + std::to_string(i));
         clients.push_back(
-            std::make_unique<fs::NasdNfsClient>(net, node, fm, raw));
-        auto sub = bench::runFor(
+            std::make_unique<fs::NasdNfsClient>(net, node, fm, drives.all()));
+        auto sub = runFor(
             sim, clients.back()->mkdir(fm.rootHandle(),
                                        "w" + std::to_string(i)));
         NASD_ASSERT(sub.ok(), "andrew setup: nasd-nfs mkdir failed");

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches: run a
- * coroutine to completion, common banner output, and the observability
- * plumbing every bench binary shares — `--json PATH` / `--no-json`
+ * Shared helpers for the figure/table reproduction benches: common
+ * banner output and the observability plumbing every bench binary
+ * shares — `--json PATH` / `--no-json`
  * select the metrics dump (default BENCH_<name>.json), `--trace PATH`
  * installs a util::Tracer for the run and writes a Chrome trace_event
  * timeline on exit, `--journal PATH` dumps the flight-recorder journal
@@ -13,13 +13,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "util/fleet.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -27,28 +25,6 @@
 #include "util/trace.h"
 
 namespace nasd::bench {
-
-/** Run one task on the simulator until it (and the queue) finishes. */
-inline void
-runTask(sim::Simulator &sim, sim::Task<void> task)
-{
-    sim.spawn(std::move(task));
-    sim.run();
-}
-
-/** Run a value-returning task to completion. */
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &out) -> sim::Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
 
 /** Print the standard bench banner. */
 inline void

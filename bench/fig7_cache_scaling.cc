@@ -51,33 +51,24 @@ measure(int n_clients)
     sim::Simulator sim;
     net::Network net(sim);
 
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager mgr(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, mgr.initialize(512 * kMB));
+    DriveArray drives(sim, net, kDrives);
+    auto &mgr_node = net::addServerNode(net, "mgr");
+    cheops::CheopsManager mgr(sim, net, mgr_node, drives.all(), 0);
+    runTask(sim, mgr.initialize(512 * kMB));
 
     // One file: one 512 KB stripe unit per drive (fits every drive's
     // cache).
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsClient loader(net, loader_node, mgr, raw);
+    auto &loader_node = net::addClientNode(net, "loader");
+    cheops::CheopsClient loader(net, loader_node, mgr, drives.all());
     const std::uint64_t file_bytes = kDrives * kStripeUnit;
     const auto id =
-        bench::runFor(sim, loader.create(kStripeUnit, 0)).value();
+        runFor(sim, loader.create(kStripeUnit, 0)).value();
     {
         std::vector<std::uint8_t> data(file_bytes, 7);
-        auto w = bench::runFor(sim, loader.write(id, 0, data));
+        auto w = runFor(sim, loader.write(id, 0, data));
         (void)w;
         // Warm every drive's cache.
-        auto r = bench::runFor(sim, loader.read(id, 0, data));
+        auto r = runFor(sim, loader.read(id, 0, data));
         (void)r;
     }
 
@@ -85,13 +76,12 @@ measure(int n_clients)
     std::vector<net::NetNode *> client_nodes;
     std::vector<std::unique_ptr<cheops::CheopsClient>> clients;
     for (int i = 0; i < n_clients; ++i) {
-        client_nodes.push_back(&net.addNode(
-            "client" + std::to_string(i), net::alphaStation255(),
-            net::oc3Link(), net::dceRpcCosts()));
+        client_nodes.push_back(
+            &net::addClientNode(net, "client" + std::to_string(i)));
         clients.push_back(std::make_unique<cheops::CheopsClient>(
-            net, *client_nodes.back(), mgr, raw));
+            net, *client_nodes.back(), mgr, drives.all()));
         // Prefetch the layout map so the measured window is pure data.
-        auto map = bench::runFor(sim, clients.back()->open(id, false));
+        auto map = runFor(sim, clients.back()->open(id, false));
         (void)map;
     }
 
@@ -131,7 +121,7 @@ measure(int n_clients)
         client_idle += node->cpu().idleFraction(start, end);
     p.client_idle_percent = 100.0 * client_idle / n_clients;
     double drive_idle = 0;
-    for (auto *drive : raw)
+    for (auto *drive : drives)
         drive_idle += drive->node().cpu().idleFraction(start, end);
     p.drive_idle_percent = 100.0 * drive_idle / kDrives;
     return p;

@@ -213,58 +213,47 @@ runNasd(int n, std::uint64_t dataset_bytes = kDatasetBytes,
     const util::MetricsScope run_metrics;
     sim::Simulator sim;
     net::Network net(sim);
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < n; ++i) {
-        DriveConfig cfg =
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1);
+    DriveArray drives(sim, net, n, [extras](DriveConfig &cfg) {
         if (extras != nullptr && extras->drive_cache_bytes != 0)
             cfg.store.data_cache_bytes = extras->drive_cache_bytes;
-        drives.push_back(
-            std::make_unique<NasdDrive>(sim, net, std::move(cfg)));
-        raw.push_back(drives.back().get());
-    }
+    });
     if (extras != nullptr && extras->slow_drive >= 0) {
         NASD_ASSERT(extras->slow_drive < n, "--slow-drive: drive ",
                     extras->slow_drive, " out of range for ", n, " drives");
-        raw[static_cast<std::size_t>(extras->slow_drive)]->slowDown(
+        drives[static_cast<std::size_t>(extras->slow_drive)]->slowDown(
             extras->slow_factor);
     }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, storage.initialize(1024 * kMB));
+    auto &mgr_node = net::addServerNode(net, "mgr");
+    cheops::CheopsManager storage(sim, net, mgr_node, drives.all(), 0);
+    runTask(sim, storage.initialize(1024 * kMB));
     pfs::PfsManager manager(storage);
 
     // Load the dataset through a loader client.
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    pfs::PfsClient loader(net, loader_node, manager, raw);
+    auto &loader_node = net::addClientNode(net, "loader");
+    pfs::PfsClient loader(net, loader_node, manager, drives.all());
     auto handle =
-        bench::runFor(sim, loader.open("sales", true, true)).value();
+        runFor(sim, loader.open("sales", true, true)).value();
     apps::TransactionGenerator gen(datasetParams());
     const std::uint64_t chunks = dataset_bytes / apps::kChunkBytes;
     for (std::uint64_t c = 0; c < chunks; ++c) {
-        auto w = bench::runFor(
+        auto w = runFor(
             sim, loader.write(handle, c * apps::kChunkBytes,
                               gen.chunk(c)));
         (void)w;
     }
     // Push write-behind data to media before the timed scan.
-    for (auto *d : raw)
-        bench::runTask(sim, d->store().flushAll());
+    for (auto *d : drives)
+        runTask(sim, d->store().flushAll());
 
     // n mining clients, chunks round-robin.
     std::vector<std::unique_ptr<pfs::PfsClient>> clients;
     std::vector<apps::ItemCounts> partials(
         n, apps::ItemCounts(kCatalogItems, 0));
     for (int i = 0; i < n; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
+        auto &node = net::addClientNode(net, "client" + std::to_string(i));
         clients.push_back(
-            std::make_unique<pfs::PfsClient>(net, node, manager, raw));
-        auto h = bench::runFor(sim,
+            std::make_unique<pfs::PfsClient>(net, node, manager, drives.all()));
+        auto h = runFor(sim,
                                clients.back()->open("sales", false, false));
         (void)h;
     }
@@ -302,7 +291,7 @@ runNasd(int n, std::uint64_t dataset_bytes = kDatasetBytes,
             },
             1.0 / static_cast<double>(kMB));
         for (int i = 0; i < n; ++i) {
-            auto *drive = raw[i];
+            auto *drive = drives[i];
             poller.addRate(
                 drive->name() + "_cpu_util",
                 [drive, &sim] {
@@ -387,7 +376,7 @@ runNfs(int n, bool parallel_files)
         for (int i = 0; i < n; ++i) {
             volumes.push_back(std::make_unique<fs::FfsFileSystem>(
                 sim, *disks[i], &server_node.cpu(), server_fs));
-            bench::runTask(sim, volumes.back()->format());
+            runTask(sim, volumes.back()->format());
             server.addVolume(*volumes.back());
         }
     } else {
@@ -398,7 +387,7 @@ runNfs(int n, bool parallel_files)
                                                         64 * kKB);
         volumes.push_back(std::make_unique<fs::FfsFileSystem>(
             sim, *stripe, &server_node.cpu(), server_fs));
-        bench::runTask(sim, volumes.back()->format());
+        runTask(sim, volumes.back()->format());
         server.addVolume(*volumes.back());
     }
 
@@ -413,7 +402,7 @@ runNfs(int n, bool parallel_files)
         // Each client gets a replica slice on disk i = client % n.
         for (int i = 0; i < n_clients; ++i) {
             auto &vol = *volumes[i % n];
-            auto ino = bench::runFor(
+            auto ino = runFor(
                 sim, vol.create(fs::kRootInode,
                                 "sales" + std::to_string(i)));
             NASD_ASSERT(ino.ok(), "fig9 setup: create failed");
@@ -423,7 +412,7 @@ runNfs(int n, bool parallel_files)
                                           ? 1
                                           : 0);
             for (std::uint64_t c = 0; c < per_client; ++c) {
-                auto w = bench::runFor(
+                auto w = runFor(
                     sim, vol.write(ino.value(), c * apps::kChunkBytes,
                                    gen.chunk(c * n_clients + i)));
                 (void)w;
@@ -433,10 +422,10 @@ runNfs(int n, bool parallel_files)
         }
     } else {
         auto &vol = *volumes[0];
-        auto ino = bench::runFor(sim, vol.create(fs::kRootInode, "sales"));
+        auto ino = runFor(sim, vol.create(fs::kRootInode, "sales"));
         NASD_ASSERT(ino.ok(), "fig9 setup: create failed");
         for (std::uint64_t c = 0; c < chunks; ++c) {
-            auto w = bench::runFor(
+            auto w = runFor(
                 sim, vol.write(ino.value(), c * apps::kChunkBytes,
                                gen.chunk(c)));
             (void)w;
@@ -444,7 +433,7 @@ runNfs(int n, bool parallel_files)
         files.push_back(fs::NfsFileHandle{0, ino.value()});
     }
     for (auto &vol : volumes)
-        bench::runTask(sim, vol->sync());
+        runTask(sim, vol->sync());
 
     std::vector<std::unique_ptr<fs::NfsClient>> clients;
     std::vector<apps::ItemCounts> partials(
@@ -454,9 +443,7 @@ runNfs(int n, bool parallel_files)
     mount.rsize = 32 * kKB;
     mount.wsize = 32 * kKB;
     for (int i = 0; i < n_clients; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
+        auto &node = net::addClientNode(net, "client" + std::to_string(i));
         clients.push_back(
             std::make_unique<fs::NfsClient>(net, node, server, mount));
     }
@@ -613,37 +600,28 @@ runKillDrive()
     const util::MetricsScope run_metrics;
     sim::Simulator sim;
     net::Network net(sim);
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, storage.initialize(1024 * kMB));
+    DriveArray drives(sim, net, kDrives);
+    auto &mgr_node = net::addServerNode(net, "mgr");
+    cheops::CheopsManager storage(sim, net, mgr_node, drives.all(), 0);
+    runTask(sim, storage.initialize(1024 * kMB));
 
     // Load the dataset through a control client (untimed).
-    auto &control_node = net.addNode("control", net::alphaStation255(),
-                                     net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsClient control(net, control_node, storage, raw);
+    auto &control_node = net::addClientNode(net, "control");
+    cheops::CheopsClient control(net, control_node, storage, drives.all());
     const auto id =
-        bench::runFor(sim, control.create(kSu, kWidth, kObjectBytes,
-                                          cheops::Redundancy::kParity))
+        runFor(sim, control.create(kSu, kWidth, kObjectBytes,
+                                   cheops::Redundancy::kParity))
             .value();
     apps::TransactionGenerator gen(datasetParams());
     for (std::uint64_t c = 0; c < kObjectBytes / apps::kChunkBytes; ++c) {
-        auto w = bench::runFor(
+        auto w = runFor(
             sim, control.write(id, c * apps::kChunkBytes, gen.chunk(c)));
         NASD_ASSERT(w.ok(), "kill-drive: load write failed");
     }
-    for (auto *d : raw)
-        bench::runTask(sim, d->store().flushAll());
+    for (auto *d : drives)
+        runTask(sim, d->store().flushAll());
 
-    const auto *map = bench::runFor(sim, control.open(id, false)).value();
+    const auto *map = runFor(sim, control.open(id, false)).value();
     const std::uint32_t victim_comp = 0;
     const std::uint32_t victim_drive = map->components[victim_comp].drive;
     std::vector<bool> used(kDrives, false);
@@ -657,11 +635,9 @@ runKillDrive()
     std::vector<std::unique_ptr<cheops::CheopsClient>> clients;
     std::vector<ScanState> states(kClients);
     for (int i = 0; i < kClients; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
+        auto &node = net::addClientNode(net, "client" + std::to_string(i));
         clients.push_back(std::make_unique<cheops::CheopsClient>(
-            net, node, storage, raw));
+            net, node, storage, drives.all()));
         sim.spawn(scanLoop(*clients.back(), id, kObjectBytes,
                            static_cast<std::uint64_t>(i), kClients,
                            states[i]));
@@ -671,9 +647,8 @@ runKillDrive()
     // writes that race the rebuild (degraded RMW, row lock,
     // write-through to the spare) — tools/flight_report.py
     // --find-rebuild-race keys off exactly those events.
-    auto &writer_node = net.addNode("writer", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsClient writer(net, writer_node, storage, raw);
+    auto &writer_node = net::addClientNode(net, "writer");
+    cheops::CheopsClient writer(net, writer_node, storage, drives.all());
     ScanState writer_state;
     sim.spawn(writeLoop(sim, writer, id, kObjectBytes, kSu, sim::msec(2),
                         writer_state));

@@ -54,10 +54,9 @@ class Table1Bench
         drive = std::make_unique<NasdDrive>(sim, net, cfg);
         issuer = std::make_unique<CapabilityIssuer>(
             drive->config().master_key, 1);
-        client_node = &net.addNode("client", net::alphaStation255(),
-                                   net::oc3Link(), net::dceRpcCosts());
+        client_node = &net::addClientNode(net, "client");
         client = std::make_unique<NasdClient>(net, *client_node, *drive);
-        bench::runTask(sim, drive->format());
+        runTask(sim, drive->format());
         auto part = drive->store().createPartition(0, 1024 * kMB);
         (void)part;
 
@@ -77,7 +76,7 @@ class Table1Bench
         pub.object_id = kPartitionControlObject;
         pub.rights = kRightCreate;
         CredentialFactory cred(issuer->mint(pub));
-        return bench::runFor(sim, client->create(cred, 0)).value();
+        return runFor(sim, client->create(cred, 0)).value();
     }
 
     CredentialFactory
@@ -95,7 +94,7 @@ class Table1Bench
              const std::vector<std::uint8_t> &data)
     {
         auto cred = credFor(oid);
-        auto r = bench::runFor(sim, client->write(cred, offset, data));
+        auto r = runFor(sim, client->write(cred, offset, data));
         (void)r;
     }
 
@@ -105,8 +104,8 @@ class Table1Bench
     {
         for (const ObjectId oid : fillers) {
             auto cred = credFor(oid);
-            (void)bench::runFor(sim, client->getAttr(cred));
-            (void)bench::runFor(sim, client->read(cred, 0, 512 * kKB));
+            (void)runFor(sim, client->getAttr(cred));
+            (void)runFor(sim, client->read(cred, 0, 512 * kKB));
         }
     }
 
@@ -128,7 +127,7 @@ class Table1Bench
         const auto cpu0 = drive_cpu_instr.value();
         const auto comm0 = drive_send_instr.value() +
                            drive_recv_instr.value();
-        auto r = bench::runFor(sim, client->read(cred, 0, size));
+        auto r = runFor(sim, client->read(cred, 0, size));
         (void)r;
         return MeasuredCost{drive_cpu_instr.value() - cpu0,
                             drive_send_instr.value() +
@@ -142,7 +141,7 @@ class Table1Bench
         const auto cpu0 = drive_cpu_instr.value();
         const auto comm0 = drive_send_instr.value() +
                            drive_recv_instr.value();
-        auto r = bench::runFor(sim, client->write(cred, 0, data));
+        auto r = runFor(sim, client->write(cred, 0, data));
         (void)r;
         return MeasuredCost{drive_cpu_instr.value() - cpu0,
                             drive_send_instr.value() +
@@ -290,9 +289,9 @@ main(int argc, char **argv)
     std::vector<std::uint8_t> big(64 * kKB);
 
     // Sequential cached single sector.
-    bench::runTask(bsim, barracuda.read(0, 1, sector)); // prime
+    runTask(bsim, barracuda.read(0, 1, sector)); // prime
     sim::Tick t0 = bsim.now();
-    bench::runTask(bsim, barracuda.read(1, 1, sector));
+    runTask(bsim, barracuda.read(1, 1, sector));
     std::printf("  sequential cached sector: %6.2f ms (paper: 0.30)\n",
                 sim::toMillis(bsim.now() - t0));
     util::metrics()
@@ -305,7 +304,7 @@ main(int argc, char **argv)
         const std::uint64_t block =
             (i * 977ull * 1801) % (barracuda.numBlocks() - 200);
         t0 = bsim.now();
-        bench::runTask(bsim, barracuda.read(block, 1, sector));
+        runTask(bsim, barracuda.read(block, 1, sector));
         random_ms.add(sim::toMillis(bsim.now() - t0));
     }
     std::printf("  random single sector:     %6.2f ms (paper: 9.4)\n",
@@ -316,10 +315,10 @@ main(int argc, char **argv)
 
     // Cached 64 KB (sequential after priming readahead; give the
     // drive a moment so the prefetch has fully landed in its cache).
-    bench::runTask(bsim, barracuda.read(2048, 128, big));
+    runTask(bsim, barracuda.read(2048, 128, big));
     bsim.runUntil(bsim.now() + sim::msec(20));
     t0 = bsim.now();
-    bench::runTask(bsim, barracuda.read(2176, 128, big));
+    runTask(bsim, barracuda.read(2176, 128, big));
     std::printf("  64KB from cache/stream:   %6.2f ms (paper: 2.2)\n",
                 sim::toMillis(bsim.now() - t0));
     util::metrics()
@@ -332,7 +331,7 @@ main(int argc, char **argv)
         const std::uint64_t block =
             (i * 1237ull * 4099) % (barracuda.numBlocks() - 200);
         t0 = bsim.now();
-        bench::runTask(bsim, barracuda.read(block, 128, big));
+        runTask(bsim, barracuda.read(block, 128, big));
         random64_ms.add(sim::toMillis(bsim.now() - t0));
     }
     std::printf("  64KB random from media:   %6.2f ms (paper: 11.1)\n",

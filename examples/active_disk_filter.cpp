@@ -12,7 +12,6 @@
  */
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "active/active.h"
 #include "apps/transactions.h"
@@ -72,19 +71,6 @@ class StoreFilterMethod : public active::ActiveMethod
     std::uint64_t largest_basket_ = 0;
 };
 
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
-
 } // namespace
 
 int
@@ -100,8 +86,7 @@ main()
                                     net::tenMbitEthernetLink(),
                                     net::dceRpcCosts());
     NasdClient client(net, client_node, drive);
-    sim.spawn(drive.format());
-    sim.run();
+    runTask(sim, drive.format());
     (void)drive.store().createPartition(0, 256 * kMB);
 
     // Load 8 MB of transactions.

@@ -11,7 +11,6 @@
  */
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "apps/frequent_sets.h"
@@ -31,19 +30,6 @@ constexpr int kDrives = 4;
 constexpr std::uint64_t kDatasetBytes = 32 * kMB;
 constexpr std::uint32_t kCatalogItems = 100;
 
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
-
 } // namespace
 
 int
@@ -53,19 +39,10 @@ main()
     net::Network net(sim);
 
     // Cluster: 4 drives + storage manager + 4 client workstations.
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("manager", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    sim.spawn(storage.initialize(512 * kMB));
-    sim.run();
+    DriveArray drives(sim, net, kDrives);
+    auto &mgr_node = net::addServerNode(net, "manager");
+    cheops::CheopsManager storage(sim, net, mgr_node, drives.all(), 0);
+    runTask(sim, storage.initialize(512 * kMB));
     pfs::PfsManager pfs_manager(storage);
 
     // Load the dataset (2 MB chunks; records never straddle chunks).
@@ -73,9 +50,8 @@ main()
     params.catalog_items = kCatalogItems;
     params.planted_pair_rate = 0.35;
     apps::TransactionGenerator gen(params);
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    pfs::PfsClient loader(net, loader_node, pfs_manager, raw);
+    auto &loader_node = net::addClientNode(net, "loader");
+    pfs::PfsClient loader(net, loader_node, pfs_manager, drives.all());
     auto file = runFor(sim, loader.open("sales", true, true)).value();
     const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
     for (std::uint64_t c = 0; c < chunks; ++c)
@@ -89,11 +65,9 @@ main()
     std::vector<apps::ItemCounts> partials(
         kDrives, apps::ItemCounts(kCatalogItems, 0));
     for (int i = 0; i < kDrives; ++i) {
-        auto &node = net.addNode("miner" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
+        auto &node = net::addClientNode(net, "miner" + std::to_string(i));
         clients.push_back(std::make_unique<pfs::PfsClient>(
-            net, node, pfs_manager, raw));
+            net, node, pfs_manager, drives.all()));
     }
     const sim::Tick start = sim.now();
     for (int i = 0; i < kDrives; ++i) {

@@ -12,8 +12,6 @@
  * Build & run:  ./build/examples/nfs_port
  */
 #include <cstdio>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "fs/nfs/nasd_nfs.h"
@@ -25,23 +23,6 @@ using namespace nasd;
 using util::kKB;
 using util::kMB;
 
-namespace {
-
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
-
-} // namespace
-
 int
 main()
 {
@@ -49,26 +30,15 @@ main()
     net::Network net(sim);
 
     // Two NASD drives, a file manager, two client workstations.
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < 2; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    auto &fm_node = net.addNode("file-manager", net::alphaStation500(),
-                                net::oc3Link(), net::dceRpcCosts());
-    fs::NasdNfsFileManager fm(sim, net, fm_node, raw, 0);
-    sim.spawn(fm.initialize(512 * kMB));
-    sim.run();
+    DriveArray drives(sim, net, 2);
+    auto &fm_node = net::addServerNode(net, "file-manager");
+    fs::NasdNfsFileManager fm(sim, net, fm_node, drives.all(), 0);
+    runTask(sim, fm.initialize(512 * kMB));
 
-    auto &alice_node = net.addNode("alice", net::alphaStation255(),
-                                   net::oc3Link(), net::dceRpcCosts());
-    auto &bob_node = net.addNode("bob", net::alphaStation255(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    fs::NasdNfsClient alice(net, alice_node, fm, raw);
-    fs::NasdNfsClient bob(net, bob_node, fm, raw);
+    auto &alice_node = net::addClientNode(net, "alice");
+    auto &bob_node = net::addClientNode(net, "bob");
+    fs::NasdNfsClient alice(net, alice_node, fm, drives.all());
+    fs::NasdNfsClient bob(net, bob_node, fm, drives.all());
 
     const auto root = fm.rootHandle();
 

@@ -12,7 +12,6 @@
  * Build & run:  ./build/examples/quickstart
  */
 #include <cstdio>
-#include <optional>
 
 #include "nasd/client.h"
 #include "nasd/drive.h"
@@ -22,23 +21,6 @@
 
 using namespace nasd;
 
-namespace {
-
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
-
-} // namespace
-
 int
 main()
 {
@@ -46,12 +28,10 @@ main()
     sim::Simulator sim;
     net::Network net(sim);
     NasdDrive drive(sim, net, prototypeDriveConfig("nasd0", /*id=*/1));
-    auto &client_node = net.addNode("workstation", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
+    auto &client_node = net::addClientNode(net, "workstation");
     NasdClient client(net, client_node, drive);
 
-    sim.spawn(drive.format());
-    sim.run();
+    runTask(sim, drive.format());
     auto part = drive.store().createPartition(0, 256 * util::kMB);
     if (!part.ok())
         return 1;

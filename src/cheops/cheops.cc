@@ -947,6 +947,18 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
     if (reply.status != CheopsStatus::kOk)
         co_return util::Err{reply.status};
 
+    // An entry that exists now (the read-only one being upgraded, or
+    // one a racing open installed during the await) is never replaced:
+    // suspended ops hold its row locks and credential factories.
+    it = open_objects_.find(id);
+    if (it != open_objects_.end()) {
+        OpenState &cached = it->second;
+        if (want_write && !cached.writable &&
+            !rebindInPlace(cached, reply.map, /*writable=*/true))
+            co_return util::Err{CheopsStatus::kStaleMap};
+        co_return &cached;
+    }
+
     OpenState state;
     state.map = std::move(reply.map);
     state.writable = want_write;
@@ -968,9 +980,7 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
                 std::make_unique<sim::Semaphore>(net_.simulator(), 1));
         }
     }
-    auto [pos, inserted] =
-        open_objects_.insert_or_assign(id, std::move(state));
-    co_return &pos->second;
+    co_return &open_objects_.emplace(id, std::move(state)).first->second;
 }
 
 sim::Task<bool>
@@ -993,9 +1003,27 @@ CheopsClient::refreshCaps(LogicalObjectId id, bool want_write)
         });
     if (reply.status != CheopsStatus::kOk)
         co_return false;
-    if (reply.map.components.size() != state.creds.size() ||
-        reply.map.mirrors.size() != state.mirror_creds.size())
+    const std::uint64_t old_version = state.map.map_version;
+    if (!rebindInPlace(state, reply.map, writable))
         co_return false; // layout changed under us; caller re-opens
+    node_.flightJournal().record(net_.simulator().now(),
+                                 util::FrEvent::kCapRefresh, 0, id,
+                                 reply.map.map_version);
+    if (reply.map.map_version != old_version) {
+        node_.flightJournal().record(net_.simulator().now(),
+                                     util::FrEvent::kMapRefresh, 0, id,
+                                     reply.map.map_version);
+    }
+    co_return true;
+}
+
+bool
+CheopsClient::rebindInPlace(OpenState &state, const CheopsMap &map,
+                            bool writable)
+{
+    if (map.components.size() != state.creds.size() ||
+        map.mirrors.size() != state.mirror_creds.size())
+        return false;
 
     // Rebind in place: parallel fetch/push runs hold references to the
     // existing factories and into the map's component vectors, so fresh
@@ -1005,36 +1033,27 @@ CheopsClient::refreshCaps(LogicalObjectId id, bool want_write)
     // completed rebuild moves a component to the spare drive, and the
     // suspended runs must see the new (drive, oid) binding.
     for (std::size_t i = 0; i < state.creds.size(); ++i) {
-        state.creds[i]->rebind(reply.map.components[i].capability);
-        state.map.components[i] = reply.map.components[i];
+        state.creds[i]->rebind(map.components[i].capability);
+        state.map.components[i] = map.components[i];
     }
     for (std::size_t i = 0; i < state.mirror_creds.size(); ++i) {
-        state.mirror_creds[i]->rebind(reply.map.mirrors[i].capability);
-        state.map.mirrors[i] = reply.map.mirrors[i];
+        state.mirror_creds[i]->rebind(map.mirrors[i].capability);
+        state.map.mirrors[i] = map.mirrors[i];
     }
-    node_.flightJournal().record(net_.simulator().now(),
-                                 util::FrEvent::kCapRefresh, 0, id,
-                                 reply.map.map_version);
-    if (reply.map.map_version != state.map.map_version) {
-        node_.flightJournal().record(net_.simulator().now(),
-                                     util::FrEvent::kMapRefresh, 0, id,
-                                     reply.map.map_version);
-    }
-    state.map.map_version = reply.map.map_version;
-    state.map.rebuilding = reply.map.rebuilding;
-    state.map.rebuild_component = reply.map.rebuild_component;
-    state.map.rebuild_target = reply.map.rebuild_target;
-    if (reply.map.rebuilding) {
+    state.map.map_version = map.map_version;
+    state.map.rebuilding = map.rebuilding;
+    state.map.rebuild_component = map.rebuild_component;
+    state.map.rebuild_target = map.rebuild_target;
+    if (map.rebuilding) {
         if (state.rebuild_cred == nullptr) {
             state.rebuild_cred = std::make_unique<CredentialFactory>(
-                reply.map.rebuild_target.capability);
+                map.rebuild_target.capability);
         } else {
-            state.rebuild_cred->rebind(
-                reply.map.rebuild_target.capability);
+            state.rebuild_cred->rebind(map.rebuild_target.capability);
         }
     }
     state.writable = writable;
-    co_return true;
+    return true;
 }
 
 sim::Task<util::Result<const CheopsMap *, CheopsStatus>>

@@ -460,6 +460,15 @@ class CheopsClient
     sim::Task<bool> refreshCaps(LogicalObjectId id, bool want_write);
 
     /**
+     * Install @p map's capabilities, component bindings and rebuild
+     * state into @p state element-wise (see refreshCaps).
+     * @return false, leaving @p state untouched, if the component or
+     *         mirror count changed.
+     */
+    bool rebindInPlace(OpenState &state, const CheopsMap &map,
+                       bool writable);
+
+    /**
      * Read a component range with the standard recovery ladder:
      * refresh-once on capability expiry, and — kParity only — refresh
      * on version mismatch (rebuild fencing bumps versions; a revoked

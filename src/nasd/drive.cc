@@ -67,6 +67,19 @@ NasdDrive::NasdDrive(sim::Simulator &sim, net::Network &net,
     store_ = std::make_unique<ObjectStore>(sim, *striped_, config_.store);
 }
 
+DriveArray::DriveArray(sim::Simulator &sim, net::Network &net, int n,
+                       const std::function<void(DriveConfig &)> &adjust)
+{
+    for (int i = 0; i < n; ++i) {
+        auto cfg = prototypeDriveConfig("nasd" + std::to_string(i), i + 1);
+        if (adjust)
+            adjust(cfg);
+        owned_.push_back(
+            std::make_unique<NasdDrive>(sim, net, std::move(cfg)));
+        drives_.push_back(owned_.back().get());
+    }
+}
+
 sim::Task<void>
 NasdDrive::format()
 {

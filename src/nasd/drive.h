@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -311,6 +312,31 @@ class NasdDrive
     std::map<std::string, OpInstruments> op_instruments_;
     bool failed_ = false;
     bool crashed_ = false;
+};
+
+/**
+ * The testbed's drive set: n prototype drives named nasd<i> with ids
+ * i+1, built in index order (each drive adds its network node, so the
+ * order fixes node and metric names). @p adjust, when set, edits each
+ * drive's prototypeDriveConfig() before the drive is built.
+ */
+class DriveArray
+{
+  public:
+    DriveArray(sim::Simulator &sim, net::Network &net, int n,
+               const std::function<void(DriveConfig &)> &adjust = {});
+
+    /** The drives as managers and clients take them. */
+    const std::vector<NasdDrive *> &all() const { return drives_; }
+
+    NasdDrive *operator[](std::size_t i) const { return drives_[i]; }
+    std::size_t size() const { return drives_.size(); }
+    auto begin() const { return drives_.begin(); }
+    auto end() const { return drives_.end(); }
+
+  private:
+    std::vector<std::unique_ptr<NasdDrive>> owned_;
+    std::vector<NasdDrive *> drives_;
 };
 
 } // namespace nasd

@@ -5,6 +5,9 @@
 #ifndef NASD_NET_PRESETS_H_
 #define NASD_NET_PRESETS_H_
 
+#include <string>
+#include <utility>
+
 #include "net/network.h"
 
 namespace nasd::net {
@@ -63,6 +66,23 @@ inline LinkParams
 gigabitLink()
 {
     return LinkParams{1000.0, sim::usec(20)};
+}
+
+/** A testbed client: an AlphaStation 255 on OC-3 with DCE RPC costs. */
+inline NetNode &
+addClientNode(Network &net, std::string name)
+{
+    return net.addNode(std::move(name), alphaStation255(), oc3Link(),
+                       dceRpcCosts());
+}
+
+/** A testbed manager or server: an AlphaStation 500 on OC-3 with DCE
+ *  RPC costs. */
+inline NetNode &
+addServerNode(Network &net, std::string name)
+{
+    return net.addNode(std::move(name), alphaStation500(), oc3Link(),
+                       dceRpcCosts());
 }
 
 } // namespace nasd::net

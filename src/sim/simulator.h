@@ -20,6 +20,8 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/task.h"
@@ -179,6 +181,27 @@ class Simulator
 
     static inline std::uint64_t total_events_ = 0;
 };
+
+/** Spawn @p task and run the simulator until its queue is empty. */
+inline void
+runTask(Simulator &sim, Task<void> task)
+{
+    sim.spawn(std::move(task));
+    sim.run();
+}
+
+/** runTask() for a value-returning task: returns what it co_returns. */
+template <typename T>
+T
+runFor(Simulator &sim, Task<T> task)
+{
+    std::optional<T> result;
+    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
+        out = co_await std::move(t);
+    }(std::move(task), result));
+    sim.run();
+    return std::move(*result);
+}
 
 } // namespace nasd::sim
 

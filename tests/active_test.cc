@@ -6,7 +6,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <optional>
 
 #include "active/active.h"
 #include "apps/frequent_sets.h"
@@ -19,7 +18,6 @@ namespace nasd::active {
 namespace {
 
 using sim::Simulator;
-using sim::Task;
 using util::kMB;
 
 class ActiveTest : public ::testing::Test
@@ -34,7 +32,7 @@ class ActiveTest : public ::testing::Test
           runtime(drive), active_client(net, client_node, runtime),
           nasd_client(net, client_node, drive)
     {
-        run(drive.format());
+        runTask(sim, drive.format());
         EXPECT_TRUE(drive.store().createPartition(0, 512 * kMB).ok());
         runtime.installMethod("frequent-sets", [this]() {
             return std::make_unique<FrequentSetsMethod>(
@@ -56,25 +54,6 @@ class ActiveTest : public ::testing::Test
         sim.run();
     }
 
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
-
     /** Load n chunks of transactions into a fresh object. */
     ObjectId
     loadData(std::uint64_t chunks)
@@ -85,14 +64,14 @@ class ActiveTest : public ::testing::Test
         pub.rights = kRightCreate;
         CredentialFactory part_cred(issuer.mint(pub));
         const ObjectId oid =
-            runFor(nasd_client.create(part_cred, 0)).value();
+            runFor(sim, nasd_client.create(part_cred, 0)).value();
 
         apps::TransactionGenerator gen(params);
         CredentialFactory cred(objectCap(oid));
         for (std::uint64_t i = 0; i < chunks; ++i) {
             const auto chunk = gen.chunk(i);
-            EXPECT_TRUE(runFor(nasd_client.write(
-                            cred, i * apps::kChunkBytes, chunk))
+            EXPECT_TRUE(runFor(sim, nasd_client.write(
+                                        cred, i * apps::kChunkBytes, chunk))
                             .ok());
         }
         return oid;
@@ -130,7 +109,7 @@ TEST_F(ActiveTest, UnknownMethodRejected)
 {
     const ObjectId oid = loadData(1);
     CredentialFactory cred(objectCap(oid));
-    auto r = runFor(active_client.scan(cred, "nonexistent"));
+    auto r = runFor(sim, active_client.scan(cred, "nonexistent"));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadRequest);
 }
@@ -141,7 +120,7 @@ TEST_F(ActiveTest, ScanRequiresCapability)
     Capability cap = objectCap(oid);
     cap.private_key[0] ^= 1; // forged
     CredentialFactory cred(cap);
-    auto r = runFor(active_client.scan(cred, "frequent-sets"));
+    auto r = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -161,7 +140,7 @@ TEST_F(ActiveTest, OnDriveCountsMatchClientSideCounts)
     }
 
     CredentialFactory cred(objectCap(oid));
-    auto result = runFor(active_client.scan(cred, "frequent-sets"));
+    auto result = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_TRUE(result.ok());
     const auto counts = FrequentSetsMethod::decodeResult(result.value());
     EXPECT_EQ(counts, expected);
@@ -173,7 +152,7 @@ TEST_F(ActiveTest, OnlyResultCrossesTheNetwork)
     const ObjectId oid = loadData(4); // 8 MB of data
     CredentialFactory cred(objectCap(oid));
     const auto bytes_before = client_node.bytes_received.value();
-    auto result = runFor(active_client.scan(cred, "frequent-sets"));
+    auto result = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_TRUE(result.ok());
     const auto received = client_node.bytes_received.value() - bytes_before;
     // The result (one count table) is tiny compared to the 8 MB
@@ -189,14 +168,14 @@ TEST_F(ActiveTest, FasterThanShippingDataOverSlowEthernet)
     CredentialFactory cred(objectCap(oid));
 
     const sim::Tick t0 = sim.now();
-    auto scan = runFor(active_client.scan(cred, "frequent-sets"));
+    auto scan = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_TRUE(scan.ok());
     const sim::Tick active_time = sim.now() - t0;
 
     const sim::Tick t1 = sim.now();
     CredentialFactory read_cred(objectCap(oid));
     for (int i = 0; i < 4; ++i) {
-        auto data = runFor(nasd_client.read(
+        auto data = runFor(sim, nasd_client.read(
             read_cred, i * apps::kChunkBytes, apps::kChunkBytes));
         ASSERT_TRUE(data.ok());
     }

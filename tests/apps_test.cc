@@ -211,14 +211,11 @@ TEST(Andrew, RunsOnBaselineNfs)
 {
     sim::Simulator sim;
     net::Network net(sim);
-    auto &server_node = net.addNode("server", net::alphaStation500(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    auto &client_node = net.addNode("client", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
+    auto &server_node = net::addServerNode(net, "server");
+    auto &client_node = net::addClientNode(net, "client");
     disk::DiskModel disk(sim, disk::cheetahParams());
     fs::FfsFileSystem ffs(sim, disk, &server_node.cpu());
-    sim.spawn(ffs.format());
-    sim.run();
+    runTask(sim, ffs.format());
     fs::NfsServer server(sim, server_node);
     const auto volume = server.addVolume(ffs);
     fs::NfsClient client(net, client_node, server);
@@ -228,11 +225,10 @@ TEST(Andrew, RunsOnBaselineNfs)
     params.dirs = 2;
     params.files_per_dir = 4;
     std::optional<AndrewReport> report;
-    sim.spawn([](sim::Simulator &s, AndrewTarget &t, AndrewParams p,
-                 std::optional<AndrewReport> &out) -> sim::Task<void> {
+    runTask(sim, [](sim::Simulator &s, AndrewTarget &t, AndrewParams p,
+                    std::optional<AndrewReport> &out) -> sim::Task<void> {
         out = co_await runAndrew(s, t, p);
     }(sim, target, params, report));
-    sim.run();
 
     ASSERT_TRUE(report.has_value());
     EXPECT_GT(report->make_dir, 0u);
@@ -245,33 +241,22 @@ TEST(Andrew, RunsOnNasdNfs)
 {
     sim::Simulator sim;
     net::Network net(sim);
-    auto &fm_node = net.addNode("fm", net::alphaStation500(),
-                                net::oc3Link(), net::dceRpcCosts());
-    auto &client_node = net.addNode("client", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < 2; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net, prototypeDriveConfig("nasd" + std::to_string(i),
-                                           i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    fs::NasdNfsFileManager fm(sim, net, fm_node, raw, 0);
-    sim.spawn(fm.initialize(512 * kMB));
-    sim.run();
-    fs::NasdNfsClient client(net, client_node, fm, raw);
+    auto &fm_node = net::addServerNode(net, "fm");
+    auto &client_node = net::addClientNode(net, "client");
+    DriveArray drives(sim, net, 2);
+    fs::NasdNfsFileManager fm(sim, net, fm_node, drives.all(), 0);
+    runTask(sim, fm.initialize(512 * kMB));
+    fs::NasdNfsClient client(net, client_node, fm, drives.all());
     NasdNfsAndrewTarget target(client, fm.rootHandle());
 
     AndrewParams params;
     params.dirs = 2;
     params.files_per_dir = 4;
     std::optional<AndrewReport> report;
-    sim.spawn([](sim::Simulator &s, AndrewTarget &t, AndrewParams p,
-                 std::optional<AndrewReport> &out) -> sim::Task<void> {
+    runTask(sim, [](sim::Simulator &s, AndrewTarget &t, AndrewParams p,
+                    std::optional<AndrewReport> &out) -> sim::Task<void> {
         out = co_await runAndrew(s, t, p);
     }(sim, target, params, report));
-    sim.run();
 
     ASSERT_TRUE(report.has_value());
     EXPECT_GT(report->total(), 0u);

@@ -88,15 +88,14 @@ TEST(Attribution, DiskReadReconcilesWithElapsed)
     disk::DiskModel d(sim, disk::medallistParams());
     util::OpAttribution attr;
     sim::Tick elapsed = 0;
-    sim.spawn([](sim::Simulator &s, disk::DiskModel &dm,
-                 util::OpAttribution &a,
-                 sim::Tick &out) -> sim::Task<void> {
+    runTask(sim, [](sim::Simulator &s, disk::DiskModel &dm,
+                    util::OpAttribution &a,
+                    sim::Tick &out) -> sim::Task<void> {
         std::vector<std::uint8_t> buf(dm.blockSize() * 8u);
         const sim::Tick start = s.now();
         co_await dm.read(0, 8, buf, &a);
         out = s.now() - start;
     }(sim, d, attr, elapsed));
-    sim.run();
     ASSERT_GT(elapsed, 0u);
     // Every nanosecond of the op classified as wait or service for
     // exactly one resource class: attributed == measured, no slack.

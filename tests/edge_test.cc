@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "active/active.h"
@@ -30,25 +29,6 @@ using sim::Tick;
 using util::kKB;
 using util::kMB;
 
-template <typename T>
-T
-runFor(Simulator &sim, Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
-
-void
-runTask(Simulator &sim, Task<void> task)
-{
-    sim.spawn(std::move(task));
-    sim.run();
-}
-
 std::vector<std::uint8_t>
 pattern(std::size_t n, std::uint8_t seed = 1)
 {
@@ -66,10 +46,8 @@ TEST(RpcPipeline, LargeTransferOverlapsStages)
     // (send cpu + wire + recv cpu) serialized per whole message.
     Simulator sim;
     net::Network net(sim);
-    auto &a = net.addNode("a", net::alphaStation255(), net::oc3Link(),
-                          net::dceRpcCosts());
-    auto &b = net.addNode("b", net::alphaStation255(), net::oc3Link(),
-                          net::dceRpcCosts());
+    auto &a = net::addClientNode(net, "a");
+    auto &b = net::addClientNode(net, "b");
 
     const Tick t0 = sim.now();
     runTask(sim, net::sendMessage(net, a, b, kMB));
@@ -94,10 +72,8 @@ TEST(RpcPipeline, SmallMessageIsNotChunked)
 {
     Simulator sim;
     net::Network net(sim);
-    auto &a = net.addNode("a", net::alphaStation255(), net::oc3Link(),
-                          net::dceRpcCosts());
-    auto &b = net.addNode("b", net::alphaStation255(), net::oc3Link(),
-                          net::dceRpcCosts());
+    auto &a = net::addClientNode(net, "a");
+    auto &b = net::addClientNode(net, "b");
     runTask(sim, net::sendMessage(net, a, b, 100));
     // One header only.
     EXPECT_EQ(b.bytes_received.value(), 100 + a.costs().header_bytes);
@@ -109,10 +85,8 @@ class WindowTest : public ::testing::Test
 {
   protected:
     WindowTest()
-        : server_node(net.addNode("server", net::alphaStation500(),
-                                  net::oc3Link(), net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts())),
+        : server_node(net::addServerNode(net, "server")),
+          client_node(net::addClientNode(net, "client")),
           disk(sim, disk::cheetahParams()),
           ffs(sim, disk, &server_node.cpu()), server(sim, server_node)
     {
@@ -167,8 +141,7 @@ class DriveEdge : public ::testing::Test
     DriveEdge()
         : drive(sim, net, prototypeDriveConfig("nasd0", 1)),
           issuer(drive.config().master_key, 1),
-          node(net.addNode("client", net::alphaStation255(),
-                           net::oc3Link(), net::dceRpcCosts())),
+          node(net::addClientNode(net, "client")),
           client(net, node, drive)
     {
         runTask(sim, drive.format());
@@ -348,8 +321,7 @@ TEST(ActiveEdge, ScanOfEmptyObjectReturnsEmptyCounts)
     net::Network net(sim);
     NasdDrive drive(sim, net, prototypeDriveConfig("nasd0", 1));
     CapabilityIssuer issuer(drive.config().master_key, 1);
-    auto &node = net.addNode("client", net::alphaStation255(),
-                             net::oc3Link(), net::dceRpcCosts());
+    auto &node = net::addClientNode(net, "client");
     NasdClient client(net, node, drive);
     runTask(sim, drive.format());
     ASSERT_TRUE(drive.store().createPartition(0, 64 * kMB).ok());
@@ -404,11 +376,10 @@ TEST(SimEdge, SemaphoreCountsAreConsistent)
     Simulator sim;
     sim::Semaphore sem(sim, 3);
     EXPECT_EQ(sem.availablePermits(), 3u);
-    sim.spawn([](sim::Semaphore &s) -> Task<void> {
+    runTask(sim, [](sim::Semaphore &s) -> Task<void> {
         co_await s.acquire();
         co_await s.acquire();
     }(sem));
-    sim.run();
     EXPECT_EQ(sem.availablePermits(), 1u);
     sem.release();
     sem.release();
@@ -423,11 +394,10 @@ TEST(SimEdge, GateOpenIsIdempotent)
     gate.open();
     EXPECT_TRUE(gate.isOpen());
     bool passed = false;
-    sim.spawn([](sim::Gate &g, bool &flag) -> Task<void> {
+    runTask(sim, [](sim::Gate &g, bool &flag) -> Task<void> {
         co_await g.wait();
         flag = true;
     }(gate, passed));
-    sim.run();
     EXPECT_TRUE(passed);
 }
 
@@ -438,11 +408,10 @@ TEST(SimEdge, RunUntilAdvancesIdleClock)
     EXPECT_EQ(sim.now(), 1000u);
     // Spawning after idling still works.
     bool ran = false;
-    sim.spawn([](Simulator &s, bool &flag) -> Task<void> {
+    runTask(sim, [](Simulator &s, bool &flag) -> Task<void> {
         co_await s.delay(10);
         flag = true;
     }(sim, ran));
-    sim.run();
     EXPECT_TRUE(ran);
     EXPECT_EQ(sim.now(), 1010u);
 }

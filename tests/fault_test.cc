@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cheops/cheops.h"
@@ -30,25 +29,6 @@ using sim::Simulator;
 using sim::Task;
 using util::kKB;
 using util::kMB;
-
-template <typename T>
-T
-runFor(Simulator &sim, Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
-
-void
-runTask(Simulator &sim, Task<void> task)
-{
-    sim.spawn(std::move(task));
-    sim.run();
-}
 
 std::vector<std::uint8_t>
 pattern(std::size_t n, std::uint8_t seed = 1)
@@ -79,8 +59,7 @@ class DriveFaultTest : public ::testing::Test
     DriveFaultTest()
         : drive(sim, net, prototypeDriveConfig("nasd0", 1)),
           issuer(drive.config().master_key, 1),
-          node(net.addNode("client", net::alphaStation255(),
-                           net::oc3Link(), net::dceRpcCosts())),
+          node(net::addClientNode(net, "client")),
           client(net, node, drive)
     {
         runTask(sim, drive.format());
@@ -283,31 +262,21 @@ class CheopsFaultTest : public ::testing::Test
     static constexpr int kDrives = 4;
 
     CheopsFaultTest()
-        : mgr_node(net.addNode("cheops-mgr", net::alphaStation500(),
-                               net::oc3Link(), net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts()))
+        : mgr_node(net::addServerNode(net, "cheops-mgr")),
+          client_node(net::addClientNode(net, "client"))
     {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        }
-        for (auto &d : drives)
-            raw.push_back(d.get());
         mgr = std::make_unique<cheops::CheopsManager>(sim, net, mgr_node,
-                                                      raw, 0);
+                                                      drives.all(), 0);
         runTask(sim, mgr->initialize(512 * kMB));
         client = std::make_unique<cheops::CheopsClient>(net, client_node,
-                                                        *mgr, raw);
+                                                        *mgr, drives.all());
     }
 
     Simulator sim;
     net::Network net{sim};
     net::NetNode &mgr_node;
     net::NetNode &client_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
+    DriveArray drives{sim, net, kDrives};
     std::unique_ptr<cheops::CheopsManager> mgr;
     std::unique_ptr<cheops::CheopsClient> client;
 };
@@ -416,31 +385,21 @@ class NfsFaultTest : public ::testing::Test
     static constexpr int kDrives = 2;
 
     NfsFaultTest()
-        : fm_node(net.addNode("fm", net::alphaStation500(), net::oc3Link(),
-                              net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts()))
+        : fm_node(net::addServerNode(net, "fm")),
+          client_node(net::addClientNode(net, "client"))
     {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        }
-        std::vector<NasdDrive *> raw;
-        for (auto &d : drives)
-            raw.push_back(d.get());
         fm = std::make_unique<fs::NasdNfsFileManager>(sim, net, fm_node,
-                                                      raw, 0);
+                                                      drives.all(), 0);
         runTask(sim, fm->initialize(512 * kMB));
         client = std::make_unique<fs::NasdNfsClient>(net, client_node, *fm,
-                                                     raw);
+                                                     drives.all());
     }
 
     Simulator sim;
     net::Network net{sim};
     net::NetNode &fm_node;
     net::NetNode &client_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
+    DriveArray drives{sim, net, kDrives};
     std::unique_ptr<fs::NasdNfsFileManager> fm;
     std::unique_ptr<fs::NasdNfsClient> client;
 };
@@ -494,17 +453,10 @@ class AfsFaultTest : public ::testing::Test
     static constexpr int kDrives = 2;
 
     AfsFaultTest()
-        : fm_node(net.addNode("afs-fm", net::alphaStation500(),
-                              net::oc3Link(), net::dceRpcCosts()))
+        : fm_node(net::addServerNode(net, "afs-fm"))
     {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-            raw.push_back(drives.back().get());
-        }
-        fm = std::make_unique<fs::AfsFileManager>(sim, net, fm_node, raw,
-                                                  0, 64 * kMB);
+        fm = std::make_unique<fs::AfsFileManager>(
+            sim, net, fm_node, drives.all(), 0, 64 * kMB);
         runTask(sim, fm->initialize(512 * kMB));
         client_a = makeClient("alice", 1);
         client_b = makeClient("bob", 2);
@@ -513,16 +465,14 @@ class AfsFaultTest : public ::testing::Test
     std::unique_ptr<fs::AfsClient>
     makeClient(const std::string &name, std::uint32_t id)
     {
-        auto &n = net.addNode(name, net::alphaStation255(), net::oc3Link(),
-                              net::dceRpcCosts());
-        return std::make_unique<fs::AfsClient>(net, n, *fm, raw, id);
+        auto &n = net::addClientNode(net, name);
+        return std::make_unique<fs::AfsClient>(net, n, *fm, drives.all(), id);
     }
 
     Simulator sim;
     net::Network net{sim};
     net::NetNode &fm_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
+    DriveArray drives{sim, net, kDrives};
     std::unique_ptr<fs::AfsFileManager> fm;
     std::unique_ptr<fs::AfsClient> client_a;
     std::unique_ptr<fs::AfsClient> client_b;
@@ -546,7 +496,7 @@ TEST_F(AfsFaultTest, WriteCapExpiryRefreshedOnce)
 
     // Heal the network once the drive has sent its (delayed) rejection
     // so the refreshed attempt travels a healthy path.
-    NasdDrive *data_drive = raw[fid.drive];
+    NasdDrive *data_drive = drives[fid.drive];
     sim.spawn([](Simulator &s, net::Network &n,
                  NasdDrive *d) -> Task<void> {
         for (int i = 0; i < 1000; ++i) {

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "apps/frequent_sets.h"
@@ -50,17 +49,11 @@ class IntegrationTest : public ::testing::Test
 
     IntegrationTest()
     {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-            raw.push_back(drives.back().get());
-        }
         // One drive set, three personalities on three partitions.
         // Format once, then create the partitions by hand (the
         // initialize() helpers format, so set up manually here).
-        for (auto *d : raw) {
-            run(d->format());
+        for (auto *d : drives) {
+            runTask(sim, d->format());
             EXPECT_TRUE(d->store().createPartition(kNfsPart, 128 * kMB)
                             .ok());
             EXPECT_TRUE(d->store().createPartition(kPfsPart, 128 * kMB)
@@ -70,43 +63,9 @@ class IntegrationTest : public ::testing::Test
         }
     }
 
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
-
-    net::NetNode &
-    addClientNode(const std::string &name)
-    {
-        return net.addNode(name, net::alphaStation255(), net::oc3Link(),
-                           net::dceRpcCosts());
-    }
-
-    net::NetNode &
-    addServerNode(const std::string &name)
-    {
-        return net.addNode(name, net::alphaStation500(), net::oc3Link(),
-                           net::dceRpcCosts());
-    }
-
     Simulator sim;
     net::Network net{sim};
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
+    DriveArray drives{sim, net, kDrives};
 };
 
 /** NASD-NFS file manager that attaches to pre-formatted drives. */
@@ -121,60 +80,60 @@ TEST_F(IntegrationTest, ThreePersonalitiesShareTheDrives)
     // NASD-NFS on partition 0. initialize() reformats, so give it its
     // own drives in other tests; here we only exercise Cheops+PFS and
     // a direct NASD client on separate partitions.
-    auto &mgr_node = addServerNode("cheops-mgr");
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, kPfsPart);
+    auto &mgr_node = net::addServerNode(net, "cheops-mgr");
+    cheops::CheopsManager storage(sim, net, mgr_node, drives.all(), kPfsPart);
     // NOTE: do not call initialize() (it would reformat); partitions
     // already exist.
     pfs::PfsManager pfs_manager(storage);
-    auto &pfs_client_node = addClientNode("pfs-client");
-    pfs::PfsClient pfs_client(net, pfs_client_node, pfs_manager, raw);
+    auto &pfs_client_node = net::addClientNode(net, "pfs-client");
+    pfs::PfsClient pfs_client(net, pfs_client_node, pfs_manager, drives.all());
 
     auto handle =
-        runFor(pfs_client.open("dataset", true, true)).value();
+        runFor(sim, pfs_client.open("dataset", true, true)).value();
     const auto pfs_data = pattern(3 * kMB, 2);
-    ASSERT_TRUE(runFor(pfs_client.write(handle, 0, pfs_data)).ok());
+    ASSERT_TRUE(runFor(sim, pfs_client.write(handle, 0, pfs_data)).ok());
 
     // Direct NASD object on partition 0 via a plain client.
-    CapabilityIssuer issuer(raw[0]->config().master_key, raw[0]->id());
-    auto &direct_node = addClientNode("direct");
-    NasdClient direct(net, direct_node, *raw[0]);
+    CapabilityIssuer issuer(drives[0]->config().master_key, drives[0]->id());
+    auto &direct_node = net::addClientNode(net, "direct");
+    NasdClient direct(net, direct_node, *drives[0]);
     CapabilityPublic pc;
     pc.partition = kNfsPart;
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(direct.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, direct.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kNfsPart;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite;
     CredentialFactory cred(issuer.mint(po));
     const auto direct_data = pattern(256 * kKB, 3);
-    ASSERT_TRUE(runFor(direct.write(cred, 0, direct_data)).ok());
+    ASSERT_TRUE(runFor(sim, direct.write(cred, 0, direct_data)).ok());
 
     // Both worlds read back intact.
     std::vector<std::uint8_t> out(3 * kMB);
-    ASSERT_TRUE(runFor(pfs_client.read(handle, 0, out)).ok());
+    ASSERT_TRUE(runFor(sim, pfs_client.read(handle, 0, out)).ok());
     EXPECT_EQ(out, pfs_data);
-    auto got = runFor(direct.read(cred, 0, 256 * kKB));
+    auto got = runFor(sim, direct.read(cred, 0, 256 * kKB));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), direct_data);
 
     // Partition isolation: the PFS partition's usage grew, the NFS
     // partition holds exactly the direct object.
-    for (auto *d : raw) {
+    for (auto *d : drives) {
         auto pfs_info = d->store().partitionInfo(kPfsPart).value();
         EXPECT_GT(pfs_info.used_bytes, 0u);
     }
-    auto nfs_info = raw[0]->store().partitionInfo(kNfsPart).value();
+    auto nfs_info = drives[0]->store().partitionInfo(kNfsPart).value();
     EXPECT_EQ(nfs_info.object_count, 1u);
 }
 
 TEST_F(IntegrationTest, CrossPartitionCapabilityIsUseless)
 {
-    CapabilityIssuer issuer(raw[0]->config().master_key, raw[0]->id());
-    auto &node = addClientNode("attacker");
-    NasdClient client(net, node, *raw[0]);
+    CapabilityIssuer issuer(drives[0]->config().master_key, drives[0]->id());
+    auto &node = net::addClientNode(net, "attacker");
+    NasdClient client(net, node, *drives[0]);
 
     // Create an object on partition 1.
     CapabilityPublic pc;
@@ -182,28 +141,28 @@ TEST_F(IntegrationTest, CrossPartitionCapabilityIsUseless)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(client.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, client.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kPfsPart;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite;
     CredentialFactory good(issuer.mint(po));
-    ASSERT_TRUE(runFor(client.write(good, 0, pattern(kKB))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(good, 0, pattern(kKB))).ok());
 
     // A capability minted for the same object id on ANOTHER partition
     // does not open this object (the partition is MAC'd).
     CapabilityPublic wrong = po;
     wrong.partition = kNfsPart;
     CredentialFactory bad(issuer.mint(wrong));
-    auto r = runFor(client.read(bad, 0, kKB));
+    auto r = runFor(sim, client.read(bad, 0, kKB));
     ASSERT_FALSE(r.ok()); // no such object in partition 0
 }
 
 TEST_F(IntegrationTest, QuotaIsPerPartition)
 {
-    CapabilityIssuer issuer(raw[0]->config().master_key, raw[0]->id());
-    auto &node = addClientNode("filler");
-    NasdClient client(net, node, *raw[0]);
+    CapabilityIssuer issuer(drives[0]->config().master_key, drives[0]->id());
+    auto &node = net::addClientNode(net, "filler");
+    NasdClient client(net, node, *drives[0]);
 
     // Fill the small AFS partition to its quota...
     CapabilityPublic pc;
@@ -211,7 +170,7 @@ TEST_F(IntegrationTest, QuotaIsPerPartition)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId big = runFor(client.create(pcred, 0)).value();
+    const ObjectId big = runFor(sim, client.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kAfsPart;
     po.object_id = big;
@@ -220,8 +179,8 @@ TEST_F(IntegrationTest, QuotaIsPerPartition)
     const auto chunk = pattern(8 * kMB);
     for (int i = 0; i < 8; ++i)
         ASSERT_TRUE(
-            runFor(client.write(cred, i * 8ull * kMB, chunk)).ok());
-    auto overflow = runFor(client.write(cred, 64ull * kMB, chunk));
+            runFor(sim, client.write(cred, i * 8ull * kMB, chunk)).ok());
+    auto overflow = runFor(sim, client.write(cred, 64ull * kMB, chunk));
     ASSERT_FALSE(overflow.ok());
     EXPECT_EQ(overflow.error(), NasdStatus::kQuotaExceeded);
 
@@ -232,37 +191,37 @@ TEST_F(IntegrationTest, QuotaIsPerPartition)
     pc2.object_id = kPartitionControlObject;
     pc2.rights = kRightCreate;
     CredentialFactory pcred2(issuer.mint(pc2));
-    const ObjectId other = runFor(client.create(pcred2, 0)).value();
+    const ObjectId other = runFor(sim, client.create(pcred2, 0)).value();
     CapabilityPublic po2;
     po2.partition = kNfsPart;
     po2.object_id = other;
     po2.rights = kRightWrite;
     CredentialFactory cred2(issuer.mint(po2));
-    EXPECT_TRUE(runFor(client.write(cred2, 0, chunk)).ok());
+    EXPECT_TRUE(runFor(sim, client.write(cred2, 0, chunk)).ok());
 }
 
 TEST_F(IntegrationTest, MiningPipelineEndToEnd)
 {
     // 8 MB mining job over PFS; counts must equal a direct scan of
     // the generator output.
-    auto &mgr_node = addServerNode("mgr");
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, kPfsPart);
+    auto &mgr_node = net::addServerNode(net, "mgr");
+    cheops::CheopsManager storage(sim, net, mgr_node, drives.all(), kPfsPart);
     pfs::PfsManager manager(storage);
 
     apps::DatasetParams params;
     params.catalog_items = 64;
     apps::TransactionGenerator gen(params);
 
-    auto &loader_node = addClientNode("loader");
-    pfs::PfsClient loader(net, loader_node, manager, raw);
-    auto file = runFor(loader.open("sales", true, true)).value();
+    auto &loader_node = net::addClientNode(net, "loader");
+    pfs::PfsClient loader(net, loader_node, manager, drives.all());
+    auto file = runFor(sim, loader.open("sales", true, true)).value();
     apps::ItemCounts expected(params.catalog_items, 0);
     for (std::uint64_t c = 0; c < 4; ++c) {
         const auto chunk = gen.chunk(c);
         apps::mergeCounts(expected, apps::countOneItemsets(
                                         chunk, params.catalog_items));
         ASSERT_TRUE(
-            runFor(loader.write(file, c * apps::kChunkBytes, chunk)).ok());
+            runFor(sim, loader.write(file, c * apps::kChunkBytes, chunk)).ok());
     }
 
     // Two miners split the chunks.
@@ -271,8 +230,8 @@ TEST_F(IntegrationTest, MiningPipelineEndToEnd)
     std::vector<std::unique_ptr<pfs::PfsClient>> miners;
     for (int i = 0; i < 2; ++i) {
         miners.push_back(std::make_unique<pfs::PfsClient>(
-            net, addClientNode("miner" + std::to_string(i)), manager,
-            raw));
+            net, net::addClientNode(net, "miner" + std::to_string(i)), manager,
+            drives.all()));
     }
     for (int i = 0; i < 2; ++i) {
         sim.spawn([](pfs::PfsClient &c, pfs::PfsHandle f,
@@ -301,22 +260,23 @@ TEST_F(IntegrationTest, ManyClientsContendOnOneObjectSafely)
 {
     // 6 clients write disjoint 64 KB slices of one object in parallel,
     // then each verifies the whole object.
-    CapabilityIssuer issuer(raw[0]->config().master_key, raw[0]->id());
-    auto &setup_node = addClientNode("setup");
-    NasdClient setup(net, setup_node, *raw[0]);
+    CapabilityIssuer issuer(drives[0]->config().master_key, drives[0]->id());
+    auto &setup_node = net::addClientNode(net, "setup");
+    NasdClient setup(net, setup_node, *drives[0]);
     CapabilityPublic pc;
     pc.partition = kNfsPart;
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(setup.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, setup.create(pcred, 0)).value();
 
     constexpr int kClients = 6;
     std::vector<std::unique_ptr<NasdClient>> clients;
     std::vector<std::unique_ptr<CredentialFactory>> creds;
     for (int i = 0; i < kClients; ++i) {
         clients.push_back(std::make_unique<NasdClient>(
-            net, addClientNode("writer" + std::to_string(i)), *raw[0]));
+            net, net::addClientNode(net, "writer" + std::to_string(i)),
+            *drives[0]));
         CapabilityPublic po;
         po.partition = kNfsPart;
         po.object_id = oid;
@@ -339,7 +299,7 @@ TEST_F(IntegrationTest, ManyClientsContendOnOneObjectSafely)
     sim.run();
 
     for (int i = 0; i < kClients; ++i) {
-        auto got = runFor(clients[i]->read(
+        auto got = runFor(sim, clients[i]->read(
             *creds[i], static_cast<std::uint64_t>(i) * 64 * kKB,
             64 * kKB));
         ASSERT_TRUE(got.ok());
@@ -353,46 +313,43 @@ TEST_F(IntegrationTest, AfsAndDirectClientsInterleave)
 {
     // An AFS volume on its partition while a direct client works on
     // another: both make progress and neither corrupts the other.
-    auto &fm_node = addServerNode("afs-fm");
-    // AFS initialize() formats drives; build it on a dedicated set.
-    std::vector<std::unique_ptr<NasdDrive>> afs_drives;
-    std::vector<NasdDrive *> afs_raw;
-    for (int i = 0; i < 2; ++i) {
-        afs_drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("afs-nasd" + std::to_string(i),
-                                 10 + i)));
-        afs_raw.push_back(afs_drives.back().get());
-    }
-    fs::AfsFileManager fm(sim, net, fm_node, afs_raw, 0, 64 * kMB);
-    run(fm.initialize(256 * kMB));
-    auto &user_node = addClientNode("afs-user");
-    fs::AfsClient user(net, user_node, fm, afs_raw, 1);
+    auto &fm_node = net::addServerNode(net, "afs-fm");
+    // AFS initialize() formats drives; build it on a dedicated set,
+    // afs-nasd<i> with ids 10+i, apart from the fixture's nasd<i>.
+    DriveArray afs_drives(sim, net, 2, [](DriveConfig &cfg) {
+        const int i = static_cast<int>(cfg.drive_id) - 1;
+        cfg = prototypeDriveConfig("afs-nasd" + std::to_string(i), 10 + i);
+    });
+    fs::AfsFileManager fm(sim, net, fm_node, afs_drives.all(), 0,
+                          64 * kMB);
+    runTask(sim, fm.initialize(256 * kMB));
+    auto &user_node = net::addClientNode(net, "afs-user");
+    fs::AfsClient user(net, user_node, fm, afs_drives.all(), 1);
 
     const auto fid =
-        runFor(user.create(fm.rootFid(), "notes.txt")).value();
-    ASSERT_TRUE(runFor(user.write(fid, 0, pattern(32 * kKB, 8))).ok());
+        runFor(sim, user.create(fm.rootFid(), "notes.txt")).value();
+    ASSERT_TRUE(runFor(sim, user.write(fid, 0, pattern(32 * kKB, 8))).ok());
 
     // Direct traffic on the original drive set meanwhile.
-    CapabilityIssuer issuer(raw[0]->config().master_key, raw[0]->id());
-    NasdClient direct(net, addClientNode("direct2"), *raw[0]);
+    CapabilityIssuer issuer(drives[0]->config().master_key, drives[0]->id());
+    NasdClient direct(net, net::addClientNode(net, "direct2"), *drives[0]);
     CapabilityPublic pc;
     pc.partition = kNfsPart;
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(direct.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, direct.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kNfsPart;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite;
     CredentialFactory cred(issuer.mint(po));
-    ASSERT_TRUE(runFor(direct.write(cred, 0, pattern(16 * kKB, 4))).ok());
+    ASSERT_TRUE(runFor(sim, direct.write(cred, 0, pattern(16 * kKB, 4))).ok());
 
     std::vector<std::uint8_t> afs_out(32 * kKB);
-    ASSERT_TRUE(runFor(user.read(fid, 0, afs_out)).ok());
+    ASSERT_TRUE(runFor(sim, user.read(fid, 0, afs_out)).ok());
     EXPECT_EQ(afs_out, pattern(32 * kKB, 8));
-    auto direct_out = runFor(direct.read(cred, 0, 16 * kKB));
+    auto direct_out = runFor(sim, direct.read(cred, 0, 16 * kKB));
     ASSERT_TRUE(direct_out.ok());
     EXPECT_EQ(direct_out.value(), pattern(16 * kKB, 4));
 }

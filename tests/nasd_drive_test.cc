@@ -7,7 +7,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "nasd/capability.h"
@@ -22,7 +21,6 @@ namespace nasd {
 namespace {
 
 using sim::Simulator;
-using sim::Task;
 using util::kKB;
 using util::kMB;
 
@@ -32,31 +30,11 @@ class DriveTest : public ::testing::Test
     DriveTest()
         : net(sim), drive(sim, net, prototypeDriveConfig("nasd0", 1)),
           issuer(drive.config().master_key, 1),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts())),
+          client_node(net::addClientNode(net, "client")),
           client(net, client_node, drive)
     {
-        run(drive.format());
+        runTask(sim, drive.format());
         EXPECT_TRUE(drive.store().createPartition(0, 512 * kMB).ok());
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
     }
 
     /** Capability over the partition control object (create/list). */
@@ -91,7 +69,7 @@ class DriveTest : public ::testing::Test
     makeObject()
     {
         CredentialFactory cred(partitionCap());
-        auto r = runFor(client.create(cred, 0));
+        auto r = runFor(sim, client.create(cred, 0));
         EXPECT_TRUE(r.ok());
         return r.value();
     }
@@ -121,9 +99,9 @@ TEST_F(DriveTest, CreateWriteReadOverRpc)
     CredentialFactory cred(objectCap(oid));
 
     const auto data = pattern(100 * kKB);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
-    auto read = runFor(client.read(cred, 0, 100 * kKB));
+    auto read = runFor(sim, client.read(cred, 0, 100 * kKB));
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read.value(), data);
     EXPECT_GE(drive.opsServed(), 3u);
@@ -133,8 +111,8 @@ TEST_F(DriveTest, GetAttrReflectsObjectState)
 {
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(12345))).ok());
-    auto attrs = runFor(client.getAttr(cred));
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(12345))).ok());
+    auto attrs = runFor(sim, client.getAttr(cred));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().size, 12345u);
 }
@@ -143,9 +121,9 @@ TEST_F(DriveTest, RemoveThenReadFails)
 {
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
-    ASSERT_TRUE(runFor(client.remove(cred)).ok());
-    auto r = runFor(client.read(cred, 0, 100));
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.remove(cred)).ok());
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchObject);
 }
@@ -155,7 +133,7 @@ TEST_F(DriveTest, ListObjectsSeesCreations)
     const ObjectId a = makeObject();
     const ObjectId b = makeObject();
     CredentialFactory cred(partitionCap());
-    auto listed = runFor(client.listObjects(cred));
+    auto listed = runFor(sim, client.listObjects(cred));
     ASSERT_TRUE(listed.ok());
     EXPECT_EQ(listed.value(), (std::vector<ObjectId>{a, b}));
 }
@@ -165,12 +143,12 @@ TEST_F(DriveTest, CloneVersionSharesData)
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
     const auto data = pattern(64 * kKB, 9);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
-    auto clone = runFor(client.cloneVersion(cred));
+    auto clone = runFor(sim, client.cloneVersion(cred));
     ASSERT_TRUE(clone.ok());
     CredentialFactory clone_cred(objectCap(clone.value()));
-    auto read = runFor(client.read(clone_cred, 0, 64 * kKB));
+    auto read = runFor(sim, client.read(clone_cred, 0, 64 * kKB));
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read.value(), data);
 }
@@ -183,7 +161,7 @@ TEST_F(DriveTest, ForgedPrivateKeyRejected)
     Capability cap = objectCap(oid);
     cap.private_key[5] ^= 0xff; // attacker guesses wrong key
     CredentialFactory cred(cap);
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -196,7 +174,7 @@ TEST_F(DriveTest, EscalatedRightsRejected)
     Capability cap = objectCap(oid, kRightRead);
     cap.pub.rights |= kRightWrite;
     CredentialFactory cred(cap);
-    auto r = runFor(client.write(cred, 0, pattern(100)));
+    auto r = runFor(sim, client.write(cred, 0, pattern(100)));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -212,7 +190,7 @@ TEST_F(DriveTest, WrongObjectRejected)
     Capability cap = objectCap(a);
     cap.pub.object_id = b; // public portion no longer matches digest
     CredentialFactory cred(cap);
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -221,7 +199,7 @@ TEST_F(DriveTest, MissingRightRejected)
 {
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid, kRightRead));
-    auto r = runFor(client.write(cred, 0, pattern(10)));
+    auto r = runFor(sim, client.write(cred, 0, pattern(10)));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kRightsViolation);
 }
@@ -237,7 +215,7 @@ TEST_F(DriveTest, ExpiredCapabilityRejected)
     CredentialFactory cred(issuer.mint(pub));
 
     sim.runUntil(sim.now() + sim::sec(1)); // let it expire
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kExpiredCapability);
 }
@@ -246,7 +224,7 @@ TEST_F(DriveTest, ByteRangeEnforced)
 {
     const ObjectId oid = makeObject();
     CredentialFactory wr(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(wr, 0, pattern(64 * kKB))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(wr, 0, pattern(64 * kKB))).ok());
 
     CapabilityPublic pub;
     pub.partition = 0;
@@ -256,8 +234,8 @@ TEST_F(DriveTest, ByteRangeEnforced)
     pub.region_end = 16 * kKB;
     CredentialFactory cred(issuer.mint(pub));
 
-    EXPECT_TRUE(runFor(client.read(cred, 0, 16 * kKB)).ok());
-    auto r = runFor(client.read(cred, 8 * kKB, 16 * kKB));
+    EXPECT_TRUE(runFor(sim, client.read(cred, 0, 16 * kKB)).ok());
+    auto r = runFor(sim, client.read(cred, 8 * kKB, 16 * kKB));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kRangeViolation);
 }
@@ -266,15 +244,15 @@ TEST_F(DriveTest, ReplayedRequestRejected)
 {
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     // Capture a credential and replay it directly at the drive.
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     const RequestCredential captured = cred.forRequest(params);
 
-    auto first = runFor(drive.serveRead(captured, params));
+    auto first = runFor(sim, drive.serveRead(captured, params));
     EXPECT_EQ(first.status, NasdStatus::kOk);
-    auto replay = runFor(drive.serveRead(captured, params));
+    auto replay = runFor(sim, drive.serveRead(captured, params));
     EXPECT_EQ(replay.status, NasdStatus::kReplayedRequest);
 }
 
@@ -282,32 +260,32 @@ TEST_F(DriveTest, VersionBumpRevokesCapability)
 {
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     // File manager revokes by bumping the logical version.
     SetAttrRequest bump;
     bump.bump_version = true;
-    ASSERT_TRUE(runFor(client.setAttr(cred, bump)).ok());
+    ASSERT_TRUE(runFor(sim, client.setAttr(cred, bump)).ok());
 
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kVersionMismatch);
 
     // A freshly minted capability for the new version works.
     CredentialFactory fresh(objectCap(oid, kRightRead, 2));
-    EXPECT_TRUE(runFor(client.read(fresh, 0, 100)).ok());
+    EXPECT_TRUE(runFor(sim, client.read(fresh, 0, 100)).ok());
 }
 
 TEST_F(DriveTest, KeyRotationRevokesEverything)
 {
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     CredentialFactory admin(partitionCap(kRightSetAttr));
-    ASSERT_TRUE(runFor(client.setKey(admin)).ok());
+    ASSERT_TRUE(runFor(sim, client.setKey(admin)).ok());
 
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 
@@ -318,7 +296,7 @@ TEST_F(DriveTest, KeyRotationRevokesEverything)
     pub.rights = kRightRead;
     pub.key_epoch = 1;
     CredentialFactory fresh(issuer.mint(pub));
-    EXPECT_TRUE(runFor(client.read(fresh, 0, 100)).ok());
+    EXPECT_TRUE(runFor(sim, client.read(fresh, 0, 100)).ok());
 }
 
 TEST_F(DriveTest, WrongDriveCapabilityRejected)
@@ -330,7 +308,7 @@ TEST_F(DriveTest, WrongDriveCapabilityRejected)
     pub.object_id = oid;
     pub.rights = kRightRead;
     CredentialFactory cred(wrong_issuer.mint(pub));
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -346,7 +324,7 @@ TEST_F(DriveTest, WrongMasterSecretRejected)
     pub.object_id = oid;
     pub.rights = kRightRead;
     CredentialFactory cred(impostor.mint(pub));
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -358,23 +336,23 @@ TEST_F(DriveTest, SoftwareIntegrityCostsTime)
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
     const auto data = pattern(256 * kKB);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
     // Warm the cache, then time reads with security off and on.
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick t0 = sim.now();
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick off = sim.now() - t0;
 
     drive.setSecurity(SecurityLevel::kIntegritySw);
     const sim::Tick t1 = sim.now();
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick sw = sim.now() - t1;
     EXPECT_GT(sw, off * 2); // software MACs dominate
 
     drive.setSecurity(SecurityLevel::kIntegrityHw);
     const sim::Tick t2 = sim.now();
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick hw = sim.now() - t2;
     EXPECT_LT(hw, off + off / 5); // hardware digests are nearly free
 }
@@ -386,12 +364,12 @@ TEST_F(DriveTest, CachedReadsFasterThanColdReads)
     const ObjectId oid = makeObject();
     CredentialFactory cred(objectCap(oid));
     const auto data = pattern(512 * kKB);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
     // First read is warm (just written). Now evict by writing a large
     // other object... simpler: time warm read vs a fresh drive state.
     const sim::Tick t0 = sim.now();
-    (void)runFor(client.read(cred, 0, 512 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 512 * kKB));
     const sim::Tick warm = sim.now() - t0;
 
     // 512 KB at client DCE receive rates (~10 MB/s) is ~50 ms; the
@@ -411,29 +389,29 @@ TEST_F(DriveTest, PartitionLifecycleOverTheWire)
                                          kRightRemove | kRightGetAttr));
 
     // Create partition 5 with a 1 MB quota.
-    ASSERT_TRUE(runFor(client.createPartition(admin, 5, kMB)).ok());
+    ASSERT_TRUE(runFor(sim, client.createPartition(admin, 5, kMB)).ok());
     auto info = drive.store().partitionInfo(5);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info.value().quota_bytes, kMB);
 
     // Duplicate creation fails.
-    auto dup = runFor(client.createPartition(admin, 5, kMB));
+    auto dup = runFor(sim, client.createPartition(admin, 5, kMB));
     ASSERT_FALSE(dup.ok());
     EXPECT_EQ(dup.error(), NasdStatus::kPartitionExists);
 
     // Resize lifts the quota.
-    ASSERT_TRUE(runFor(client.resizePartition(admin, 5, 4 * kMB)).ok());
+    ASSERT_TRUE(runFor(sim, client.resizePartition(admin, 5, 4 * kMB)).ok());
     EXPECT_EQ(drive.store().partitionInfo(5).value().quota_bytes, 4 * kMB);
 
     // Remove (empty) succeeds; the partition is gone.
-    ASSERT_TRUE(runFor(client.removePartition(admin, 5)).ok());
+    ASSERT_TRUE(runFor(sim, client.removePartition(admin, 5)).ok());
     EXPECT_FALSE(drive.store().partitionInfo(5).ok());
 }
 
 TEST_F(DriveTest, PartitionAdminRequiresRights)
 {
     CredentialFactory weak(partitionCap(kRightGetAttr));
-    auto r = runFor(client.createPartition(weak, 6, kMB));
+    auto r = runFor(sim, client.createPartition(weak, 6, kMB));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kRightsViolation);
 }
@@ -441,7 +419,7 @@ TEST_F(DriveTest, PartitionAdminRequiresRights)
 TEST_F(DriveTest, RemoveNonEmptyPartitionFails)
 {
     CredentialFactory admin(partitionCap(kRightCreate | kRightRemove));
-    ASSERT_TRUE(runFor(client.createPartition(admin, 7, 64 * kMB)).ok());
+    ASSERT_TRUE(runFor(sim, client.createPartition(admin, 7, 64 * kMB)).ok());
 
     // Put an object in it.
     CapabilityPublic pc;
@@ -449,9 +427,9 @@ TEST_F(DriveTest, RemoveNonEmptyPartitionFails)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    ASSERT_TRUE(runFor(client.create(pcred, 0)).ok());
+    ASSERT_TRUE(runFor(sim, client.create(pcred, 0)).ok());
 
-    auto r = runFor(client.removePartition(admin, 7));
+    auto r = runFor(sim, client.removePartition(admin, 7));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kPartitionNotEmpty);
 }
@@ -466,7 +444,7 @@ TEST_F(DriveTest, PartitionAdminParamsAreMacd)
     const RequestCredential captured = admin.forRequest(params);
     RequestParams tampered = params;
     tampered.offset = 10;  // different target partition
-    auto resp = runFor(drive.serveCreatePartition(captured, tampered, 10));
+    auto resp = runFor(sim, drive.serveCreatePartition(captured, tampered, 10));
     EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
 }
 

@@ -19,7 +19,6 @@ namespace nasd {
 namespace {
 
 using sim::Simulator;
-using sim::Task;
 using util::kKB;
 using util::kMB;
 
@@ -120,7 +119,7 @@ struct StoreFixture
     StoreFixture()
         : disk(sim, disk::medallistParams()), store(sim, disk, config())
     {
-        run(store.format());
+        runTask(sim, store.format());
         ASSERT_OK(store.createPartition(0, 256 * kMB));
     }
 
@@ -137,25 +136,6 @@ struct StoreFixture
     ASSERT_OK(const util::Result<void, NasdStatus> &r)
     {
         ASSERT_TRUE(r.ok()) << toString(r.error());
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
     }
 
     std::vector<std::uint8_t>
@@ -177,29 +157,29 @@ class ObjectStoreTest : public ::testing::Test, public StoreFixture
 
 TEST_F(ObjectStoreTest, CreateAssignsUserIds)
 {
-    auto r = runFor(store.createObject(0, 0, nullptr));
+    auto r = runFor(sim, store.createObject(0, 0, nullptr));
     ASSERT_TRUE(r.ok());
     EXPECT_GE(r.value(), kFirstUserObject);
-    auto r2 = runFor(store.createObject(0, 0, nullptr));
+    auto r2 = runFor(sim, store.createObject(0, 0, nullptr));
     ASSERT_TRUE(r2.ok());
     EXPECT_NE(r.value(), r2.value());
 }
 
 TEST_F(ObjectStoreTest, CreateInMissingPartitionFails)
 {
-    auto r = runFor(store.createObject(7, 0, nullptr));
+    auto r = runFor(sim, store.createObject(7, 0, nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchPartition);
 }
 
 TEST_F(ObjectStoreTest, WriteReadRoundTrip)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto data = pattern(100 * kKB);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, data, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, data, nullptr)).ok());
 
     std::vector<std::uint8_t> out(100 * kKB);
-    auto n = runFor(store.read(0, oid, 0, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 0, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 100 * kKB);
     EXPECT_EQ(out, data);
@@ -207,12 +187,12 @@ TEST_F(ObjectStoreTest, WriteReadRoundTrip)
 
 TEST_F(ObjectStoreTest, ReadAtOffset)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto data = pattern(64 * kKB, 7);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, data, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, data, nullptr)).ok());
 
     std::vector<std::uint8_t> out(1000);
-    auto n = runFor(store.read(0, oid, 12345, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 12345, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 1000u);
     for (int i = 0; i < 1000; ++i)
@@ -221,31 +201,32 @@ TEST_F(ObjectStoreTest, ReadAtOffset)
 
 TEST_F(ObjectStoreTest, ReadClampsAtSize)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, pattern(100), nullptr)).ok());
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(sim, store.write(0, oid, 0, pattern(100), nullptr)).ok());
     std::vector<std::uint8_t> out(1000);
-    auto n = runFor(store.read(0, oid, 50, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 50, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 50u);
 }
 
 TEST_F(ObjectStoreTest, ReadPastEndReturnsZeroBytes)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     std::vector<std::uint8_t> out(10);
-    auto n = runFor(store.read(0, oid, 0, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 0, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 0u);
 }
 
 TEST_F(ObjectStoreTest, SparseWriteLeavesZeroGap)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     // Write beyond a hole; the gap reads back as zeros.
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 64 * kKB, pattern(100), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 64 * kKB, pattern(100), nullptr)).ok());
     std::vector<std::uint8_t> out(100);
-    auto n = runFor(store.read(0, oid, 1000, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 1000, out, nullptr));
     ASSERT_TRUE(n.ok());
     for (auto b : out)
         EXPECT_EQ(b, 0);
@@ -253,78 +234,80 @@ TEST_F(ObjectStoreTest, SparseWriteLeavesZeroGap)
 
 TEST_F(ObjectStoreTest, OverwriteInPlace)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
-    ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(32 * kKB, 1), nullptr)).ok());
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, pattern(32 * kKB, 1),
+                                        nullptr))
+                    .ok());
     const auto patch = pattern(5000, 99);
-    ASSERT_TRUE(runFor(store.write(0, oid, 10000, patch, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 10000, patch, nullptr)).ok());
 
     std::vector<std::uint8_t> out(5000);
-    (void)runFor(store.read(0, oid, 10000, out, nullptr));
+    (void)runFor(sim, store.read(0, oid, 10000, out, nullptr));
     EXPECT_EQ(out, patch);
     // Size unchanged by the interior overwrite.
-    auto attrs = runFor(store.getAttributes(0, oid, nullptr));
+    auto attrs = runFor(sim, store.getAttributes(0, oid, nullptr));
     EXPECT_EQ(attrs.value().size, 32 * kKB);
 }
 
 TEST_F(ObjectStoreTest, AttributesTrackWrites)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
-    auto before = runFor(store.getAttributes(0, oid, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
+    auto before = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(before.size, 0u);
     EXPECT_EQ(before.version, 1u);
 
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, pattern(10000), nullptr)).ok());
-    auto after = runFor(store.getAttributes(0, oid, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(sim, store.write(0, oid, 0, pattern(10000), nullptr)).ok());
+    auto after = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(after.size, 10000u);
     EXPECT_GE(after.modify_time, before.modify_time);
 }
 
 TEST_F(ObjectStoreTest, SetAttrVersionBump)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     SetAttrRequest req;
     req.bump_version = true;
-    auto attrs = runFor(store.setAttributes(0, oid, req, nullptr));
+    auto attrs = runFor(sim, store.setAttributes(0, oid, req, nullptr));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().version, 2u);
 }
 
 TEST_F(ObjectStoreTest, SetAttrFsSpecificRoundTrip)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     SetAttrRequest req;
     std::array<std::uint8_t, kFsSpecificBytes> blob{};
     blob[0] = 0xab;
     blob[63] = 0xcd;
     req.fs_specific = blob;
-    ASSERT_TRUE(runFor(store.setAttributes(0, oid, req, nullptr)).ok());
-    auto attrs = runFor(store.getAttributes(0, oid, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, store.setAttributes(0, oid, req, nullptr)).ok());
+    auto attrs = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(attrs.fs_specific[0], 0xab);
     EXPECT_EQ(attrs.fs_specific[63], 0xcd);
 }
 
 TEST_F(ObjectStoreTest, TruncateFreesSpace)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
     const auto used_before = store.partitionInfo(0).value().used_bytes;
 
     SetAttrRequest req;
     req.truncate_size = 8 * kKB;
-    ASSERT_TRUE(runFor(store.setAttributes(0, oid, req, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.setAttributes(0, oid, req, nullptr)).ok());
     const auto used_after = store.partitionInfo(0).value().used_bytes;
     EXPECT_LT(used_after, used_before);
 
-    auto attrs = runFor(store.getAttributes(0, oid, nullptr)).value();
+    auto attrs = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(attrs.size, 8 * kKB);
 }
 
 TEST_F(ObjectStoreTest, CapacityReservationAllocates)
 {
     const auto free_before = store.freeUnits();
-    auto r = runFor(store.createObject(0, 1 * kMB, nullptr));
+    auto r = runFor(sim, store.createObject(0, 1 * kMB, nullptr));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(store.freeUnits(), free_before - 128); // 1 MB / 8 KB
 }
@@ -332,12 +315,12 @@ TEST_F(ObjectStoreTest, CapacityReservationAllocates)
 TEST_F(ObjectStoreTest, QuotaEnforced)
 {
     ASSERT_OK(store.createPartition(1, 64 * kKB)); // 8 units
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     // 64 KB fits exactly.
     ASSERT_TRUE(
-        runFor(store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
     // One more byte exceeds the quota.
-    auto r = runFor(store.write(1, oid, 64 * kKB, pattern(1), nullptr));
+    auto r = runFor(sim, store.write(1, oid, 64 * kKB, pattern(1), nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kQuotaExceeded);
 }
@@ -345,20 +328,20 @@ TEST_F(ObjectStoreTest, QuotaEnforced)
 TEST_F(ObjectStoreTest, ResizePartitionLiftsQuota)
 {
     ASSERT_OK(store.createPartition(1, 64 * kKB));
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
     ASSERT_OK(store.resizePartition(1, 128 * kKB));
     EXPECT_TRUE(
-        runFor(store.write(1, oid, 64 * kKB, pattern(kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 64 * kKB, pattern(kKB), nullptr)).ok());
 }
 
 TEST_F(ObjectStoreTest, ResizeBelowUsageFails)
 {
     ASSERT_OK(store.createPartition(1, 128 * kKB));
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(1, oid, 0, pattern(128 * kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 0, pattern(128 * kKB), nullptr)).ok());
     auto r = store.resizePartition(1, 8 * kKB);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kQuotaExceeded);
@@ -367,15 +350,15 @@ TEST_F(ObjectStoreTest, ResizeBelowUsageFails)
 TEST_F(ObjectStoreTest, RemoveReleasesSpace)
 {
     const auto free_before = store.freeUnits();
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
     EXPECT_LT(store.freeUnits(), free_before);
-    ASSERT_TRUE(runFor(store.removeObject(0, oid, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, oid, nullptr)).ok());
     EXPECT_EQ(store.freeUnits(), free_before);
 
     std::vector<std::uint8_t> out(10);
-    auto r = runFor(store.read(0, oid, 0, out, nullptr));
+    auto r = runFor(sim, store.read(0, oid, 0, out, nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchObject);
 }
@@ -383,11 +366,11 @@ TEST_F(ObjectStoreTest, RemoveReleasesSpace)
 TEST_F(ObjectStoreTest, RemovePartitionRequiresEmpty)
 {
     ASSERT_OK(store.createPartition(1, kMB));
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     auto r = store.removePartition(1);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kPartitionNotEmpty);
-    ASSERT_TRUE(runFor(store.removeObject(1, oid, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(1, oid, nullptr)).ok());
     EXPECT_TRUE(store.removePartition(1).ok());
 }
 
@@ -395,8 +378,9 @@ TEST_F(ObjectStoreTest, ListObjectsEnumeratesPartition)
 {
     std::vector<ObjectId> created;
     for (int i = 0; i < 5; ++i)
-        created.push_back(runFor(store.createObject(0, 0, nullptr)).value());
-    auto listed = runFor(store.listObjects(0, nullptr));
+        created.push_back(
+            runFor(sim, store.createObject(0, 0, nullptr)).value());
+    auto listed = runFor(sim, store.listObjects(0, nullptr));
     ASSERT_TRUE(listed.ok());
     EXPECT_EQ(listed.value(), created);
 }
@@ -404,9 +388,9 @@ TEST_F(ObjectStoreTest, ListObjectsEnumeratesPartition)
 TEST_F(ObjectStoreTest, PartitionsIsolateNamespaces)
 {
     ASSERT_OK(store.createPartition(1, kMB));
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     std::vector<std::uint8_t> out(10);
-    auto r = runFor(store.read(1, oid, 0, out, nullptr));
+    auto r = runFor(sim, store.read(1, oid, 0, out, nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchObject);
 }
@@ -415,65 +399,66 @@ TEST_F(ObjectStoreTest, PartitionsIsolateNamespaces)
 
 TEST_F(ObjectStoreTest, CloneSharesSpace)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
     const auto free_before = store.freeUnits();
-    auto clone = runFor(store.cloneVersion(0, oid, nullptr));
+    auto clone = runFor(sim, store.cloneVersion(0, oid, nullptr));
     ASSERT_TRUE(clone.ok());
     EXPECT_EQ(store.freeUnits(), free_before); // no data copied
 
     std::vector<std::uint8_t> out(256 * kKB);
-    (void)runFor(store.read(0, clone.value(), 0, out, nullptr));
+    (void)runFor(sim, store.read(0, clone.value(), 0, out, nullptr));
     EXPECT_EQ(out, pattern(256 * kKB));
 }
 
 TEST_F(ObjectStoreTest, WriteToCloneLeavesOriginalIntact)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto original = pattern(64 * kKB, 1);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, original, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, original, nullptr)).ok());
     const ObjectId clone =
-        runFor(store.cloneVersion(0, oid, nullptr)).value();
+        runFor(sim, store.cloneVersion(0, oid, nullptr)).value();
 
     const auto patch = pattern(8 * kKB, 200);
-    ASSERT_TRUE(runFor(store.write(0, clone, 0, patch, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, clone, 0, patch, nullptr)).ok());
 
     std::vector<std::uint8_t> out(8 * kKB);
-    (void)runFor(store.read(0, oid, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, oid, 0, out, nullptr));
     EXPECT_EQ(out, std::vector<std::uint8_t>(original.begin(),
                                              original.begin() + 8 * kKB));
-    (void)runFor(store.read(0, clone, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, clone, 0, out, nullptr));
     EXPECT_EQ(out, patch);
 }
 
 TEST_F(ObjectStoreTest, WriteToOriginalLeavesCloneIntact)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto original = pattern(64 * kKB, 1);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, original, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, original, nullptr)).ok());
     const ObjectId clone =
-        runFor(store.cloneVersion(0, oid, nullptr)).value();
+        runFor(sim, store.cloneVersion(0, oid, nullptr)).value();
 
-    ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(8 * kKB, 200), nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, pattern(8 * kKB, 200),
+                                        nullptr))
+                    .ok());
 
     std::vector<std::uint8_t> out(64 * kKB);
-    (void)runFor(store.read(0, clone, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, clone, 0, out, nullptr));
     EXPECT_EQ(out, original);
 }
 
 TEST_F(ObjectStoreTest, RemoveCloneKeepsOriginalData)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto original = pattern(64 * kKB, 1);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, original, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, original, nullptr)).ok());
     const ObjectId clone =
-        runFor(store.cloneVersion(0, oid, nullptr)).value();
-    ASSERT_TRUE(runFor(store.removeObject(0, clone, nullptr)).ok());
+        runFor(sim, store.cloneVersion(0, oid, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, clone, nullptr)).ok());
 
     std::vector<std::uint8_t> out(64 * kKB);
-    (void)runFor(store.read(0, oid, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, oid, 0, out, nullptr));
     EXPECT_EQ(out, original);
 }
 
@@ -482,51 +467,53 @@ TEST_F(ObjectStoreTest, RemoveCloneKeepsOriginalData)
 TEST_F(ObjectStoreTest, MountRebuildsState)
 {
     ASSERT_OK(store.createPartition(3, 16 * kMB));
-    const ObjectId oid = runFor(store.createObject(3, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(3, 0, nullptr)).value();
     const auto data = pattern(100 * kKB, 42);
-    ASSERT_TRUE(runFor(store.write(3, oid, 0, data, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(3, oid, 0, data, nullptr)).ok());
     SetAttrRequest req;
     req.bump_version = true;
-    ASSERT_TRUE(runFor(store.setAttributes(3, oid, req, nullptr)).ok());
-    run(store.flushAll());
+    ASSERT_TRUE(runFor(sim, store.setAttributes(3, oid, req, nullptr)).ok());
+    runTask(sim, store.flushAll());
 
     // A second store instance on the same device must see everything.
     ObjectStore reborn(sim, disk, config());
-    run(reborn.mount());
+    runTask(sim, reborn.mount());
     auto info = reborn.partitionInfo(3);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info.value().object_count, 1u);
 
-    auto attrs = runFor(reborn.getAttributes(3, oid, nullptr));
+    auto attrs = runFor(sim, reborn.getAttributes(3, oid, nullptr));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().size, 100 * kKB);
     EXPECT_EQ(attrs.value().version, 2u);
 
     std::vector<std::uint8_t> out(100 * kKB);
-    auto n = runFor(reborn.read(3, oid, 0, out, nullptr));
+    auto n = runFor(sim, reborn.read(3, oid, 0, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
 
 TEST_F(ObjectStoreTest, MountPreservesAllocatorState)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
     const auto free_before = store.freeUnits();
-    run(store.flushAll());
+    runTask(sim, store.flushAll());
 
     ObjectStore reborn(sim, disk, config());
-    run(reborn.mount());
+    runTask(sim, reborn.mount());
     EXPECT_EQ(reborn.freeUnits(), free_before);
 
     // New allocations in the reborn store must not collide: write to a
     // fresh object and confirm the old object's data is untouched.
-    const ObjectId fresh = runFor(reborn.createObject(0, 0, nullptr)).value();
-    ASSERT_TRUE(runFor(
-        reborn.write(0, fresh, 0, pattern(512 * kKB, 77), nullptr)).ok());
+    const ObjectId fresh =
+        runFor(sim, reborn.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, reborn.write(0, fresh, 0, pattern(512 * kKB, 77),
+                                         nullptr))
+                    .ok());
     std::vector<std::uint8_t> out(512 * kKB);
-    (void)runFor(reborn.read(0, oid, 0, out, nullptr));
+    (void)runFor(sim, reborn.read(0, oid, 0, out, nullptr));
     EXPECT_EQ(out, pattern(512 * kKB));
 }
 
@@ -538,40 +525,40 @@ TEST_F(ObjectStoreTest, TraceReportsMetaMissOnceThenWarm)
     small.meta_cache_inodes = 4;
     // Fresh store so the cache is empty.
     ObjectStore cold_store(sim, disk, small);
-    run(cold_store.format());
+    runTask(sim, cold_store.format());
     ASSERT_TRUE(cold_store.createPartition(0, 64 * kMB).ok());
     const ObjectId oid =
-        runFor(cold_store.createObject(0, 0, nullptr)).value();
+        runFor(sim, cold_store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(cold_store.write(0, oid, 0, pattern(kKB), nullptr)).ok());
+        runFor(sim, cold_store.write(0, oid, 0, pattern(kKB), nullptr)).ok());
 
     // Evict by touching other inodes.
     for (int i = 0; i < 6; ++i) {
         const auto other =
-            runFor(cold_store.createObject(0, 0, nullptr)).value();
-        (void)runFor(cold_store.getAttributes(0, other, nullptr));
+            runFor(sim, cold_store.createObject(0, 0, nullptr)).value();
+        (void)runFor(sim, cold_store.getAttributes(0, other, nullptr));
     }
 
     OpTrace t1;
     std::vector<std::uint8_t> out(kKB);
-    (void)runFor(cold_store.read(0, oid, 0, out, &t1));
+    (void)runFor(sim, cold_store.read(0, oid, 0, out, &t1));
     EXPECT_TRUE(t1.meta_miss);
 
     OpTrace t2;
-    (void)runFor(cold_store.read(0, oid, 0, out, &t2));
+    (void)runFor(sim, cold_store.read(0, oid, 0, out, &t2));
     EXPECT_FALSE(t2.meta_miss);
     EXPECT_GT(t2.cache_hit_bytes, 0u);
 }
 
 TEST_F(ObjectStoreTest, SecondReadHitsDriveCache)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(64 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(64 * kKB), nullptr)).ok());
 
     std::vector<std::uint8_t> out(64 * kKB);
     OpTrace trace;
-    (void)runFor(store.read(0, oid, 0, out, &trace));
+    (void)runFor(sim, store.read(0, oid, 0, out, &trace));
     // Just written: everything resident.
     EXPECT_EQ(trace.device_bytes_read, 0u);
     EXPECT_EQ(trace.cache_hit_bytes, 64 * kKB);

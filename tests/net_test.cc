@@ -24,8 +24,7 @@ Tick
 timed(Simulator &sim, Task<void> task)
 {
     const Tick start = sim.now();
-    sim.spawn(std::move(task));
-    sim.run();
+    runTask(sim, std::move(task));
     return sim.now() - start;
 }
 
@@ -33,8 +32,8 @@ TEST(Link, SerializationTime)
 {
     Simulator sim;
     Network net(sim);
-    auto &a = net.addNode("a", alphaStation255(), oc3Link(), dceRpcCosts());
-    auto &b = net.addNode("b", alphaStation255(), oc3Link(), dceRpcCosts());
+    auto &a = addClientNode(net, "a");
+    auto &b = addClientNode(net, "b");
 
     // 1 MB over 155 Mb/s = 1048576 / 19.375e6 s = ~54.1 ms.
     const Tick t = timed(sim, net.transfer(a, b, kMB));
@@ -61,7 +60,7 @@ TEST(Link, ReceiverContentionSerializes)
     Simulator sim;
     Network net(sim);
     auto &client =
-        net.addNode("client", alphaStation255(), oc3Link(), dceRpcCosts());
+        addClientNode(net, "client");
     auto &d1 =
         net.addNode("d1", alpha3000_400(), oc3Link(), dceRpcCosts());
     auto &d2 =
@@ -80,10 +79,10 @@ TEST(Link, DisjointPairsRunInParallel)
 {
     Simulator sim;
     Network net(sim);
-    auto &a = net.addNode("a", alphaStation255(), oc3Link(), dceRpcCosts());
-    auto &b = net.addNode("b", alphaStation255(), oc3Link(), dceRpcCosts());
-    auto &c = net.addNode("c", alphaStation255(), oc3Link(), dceRpcCosts());
-    auto &d = net.addNode("d", alphaStation255(), oc3Link(), dceRpcCosts());
+    auto &a = addClientNode(net, "a");
+    auto &b = addClientNode(net, "b");
+    auto &c = addClientNode(net, "c");
+    auto &d = addClientNode(net, "d");
 
     std::vector<Task<void>> tasks;
     tasks.push_back(net.transfer(a, b, kMB));
@@ -107,7 +106,7 @@ TEST(Rpc, ReturnsHandlerValue)
     Simulator sim;
     Network net(sim);
     auto &client =
-        net.addNode("client", alphaStation255(), oc3Link(), dceRpcCosts());
+        addClientNode(net, "client");
     auto &drive =
         net.addNode("drive", alpha3000_400(), oc3Link(), dceRpcCosts());
     int result = 0;
@@ -120,7 +119,7 @@ TEST(Rpc, NullCallLatencyDominatedByBaseCosts)
     Simulator sim;
     Network net(sim);
     auto &client =
-        net.addNode("client", alphaStation255(), oc3Link(), dceRpcCosts());
+        addClientNode(net, "client");
     auto &drive =
         net.addNode("drive", alpha3000_400(), oc3Link(), dceRpcCosts());
     int result = 0;
@@ -136,7 +135,7 @@ TEST(Rpc, LargeReplyChargesClientDataPath)
     Simulator sim;
     Network net(sim);
     auto &client =
-        net.addNode("client", alphaStation255(), oc3Link(), dceRpcCosts());
+        addClientNode(net, "client");
     auto &drive =
         net.addNode("drive", alpha3000_400(), oc3Link(), dceRpcCosts());
 
@@ -157,7 +156,7 @@ TEST(Rpc, DceClientSaturatesNearEightyMegabit)
     Simulator sim;
     Network net(sim);
     auto &client =
-        net.addNode("client", alphaStation255(), oc3Link(), dceRpcCosts());
+        addClientNode(net, "client");
     const RpcCosts &c = client.costs();
 
     // Pure receive-path cost of 1 MB of payload in 512 KB replies.
@@ -176,7 +175,7 @@ TEST(Rpc, LeanStackIsMuchCheaper)
     Simulator sim;
     Network net(sim);
     auto &c1 =
-        net.addNode("c1", alphaStation255(), oc3Link(), dceRpcCosts());
+        addClientNode(net, "c1");
     auto &d1 =
         net.addNode("d1", alpha3000_400(), oc3Link(), dceRpcCosts());
     auto &c2 =

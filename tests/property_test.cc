@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -32,28 +31,8 @@ namespace nasd {
 namespace {
 
 using sim::Simulator;
-using sim::Task;
 using util::kKB;
 using util::kMB;
-
-template <typename T>
-T
-runFor(Simulator &sim, Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
-
-void
-runTask(Simulator &sim, Task<void> task)
-{
-    sim.spawn(std::move(task));
-    sim.run();
-}
 
 // ----------------------------------------------------- object store fuzz
 
@@ -86,8 +65,8 @@ TEST_P(StoreFuzz, MatchesReferenceModel)
         const auto action = rng.below(10);
         if (action < 2 || live.empty()) {
             // Create.
-            auto oid = runFor(sim, store.createObject(
-                                       0, rng.below(64 * kKB), nullptr));
+            auto oid = runFor(
+                sim, store.createObject(0, rng.below(64 * kKB), nullptr));
             ASSERT_TRUE(oid.ok());
             reference[oid.value()];
             live.push_back(oid.value());

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "cheops/cheops.h"
@@ -38,21 +38,14 @@ class RedundancyTest : public ::testing::Test
     static constexpr int kDrives = 4;
 
     RedundancyTest()
-        : mgr_node(net.addNode("mgr", net::alphaStation500(),
-                               net::oc3Link(), net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts()))
+        : mgr_node(net::addServerNode(net, "mgr")),
+          client_node(net::addClientNode(net, "client"))
     {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-            raw.push_back(drives.back().get());
-        }
-        mgr = std::make_unique<CheopsManager>(sim, net, mgr_node, raw, 0);
-        run(mgr->initialize(512 * kMB));
+        mgr = std::make_unique<CheopsManager>(sim, net, mgr_node,
+                                              drives.all(), 0);
+        runTask(sim, mgr->initialize(512 * kMB));
         client = std::make_unique<CheopsClient>(net, client_node, *mgr,
-                                                raw);
+                                                drives.all());
     }
 
     ~RedundancyTest() override
@@ -63,31 +56,11 @@ class RedundancyTest : public ::testing::Test
         sim.run();
     }
 
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
-
     Simulator sim;
     net::Network net{sim};
     net::NetNode &mgr_node;
     net::NetNode &client_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
+    DriveArray drives{sim, net, kDrives};
     std::unique_ptr<CheopsManager> mgr;
     std::unique_ptr<CheopsClient> client;
 };
@@ -104,38 +77,38 @@ TEST_F(RedundancyTest, FailedDriveRejectsEverything)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(direct.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, direct.create(pcred, 0)).value();
 
     CapabilityPublic po;
     po.partition = 0;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite | kRightGetAttr;
     CredentialFactory cred(issuer.mint(po));
-    ASSERT_TRUE(runFor(direct.write(cred, 0, pattern(kKB))).ok());
+    ASSERT_TRUE(runFor(sim, direct.write(cred, 0, pattern(kKB))).ok());
 
     drives[0]->setFailed(true);
-    auto r = runFor(direct.read(cred, 0, kKB));
+    auto r = runFor(sim, direct.read(cred, 0, kKB));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kDriveFailed);
-    auto w = runFor(direct.write(cred, 0, pattern(kKB)));
+    auto w = runFor(sim, direct.write(cred, 0, pattern(kKB)));
     ASSERT_FALSE(w.ok());
-    auto a = runFor(direct.getAttr(cred));
+    auto a = runFor(sim, direct.getAttr(cred));
     ASSERT_FALSE(a.ok());
 
     // Recovery: requests succeed again.
     drives[0]->setFailed(false);
-    EXPECT_TRUE(runFor(direct.read(cred, 0, kKB)).ok());
+    EXPECT_TRUE(runFor(sim, direct.read(cred, 0, kKB)).ok());
 }
 
 TEST_F(RedundancyTest, UnmirroredObjectLosesDataPathOnFailure)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(512 * kKB))).ok());
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(512 * kKB))).ok());
 
     drives[1]->setFailed(true);
     std::vector<std::uint8_t> out(512 * kKB);
-    auto r = runFor(client->read(id, 0, out));
+    auto r = runFor(sim, client->read(id, 0, out));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), CheopsStatus::kDriveError);
 }
@@ -145,9 +118,9 @@ TEST_F(RedundancyTest, UnmirroredObjectLosesDataPathOnFailure)
 TEST_F(RedundancyTest, MirroredCreateAllocatesReplicas)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    auto map = runFor(client->open(id, false));
+    auto map = runFor(sim, client->open(id, false));
     ASSERT_TRUE(map.ok());
     EXPECT_EQ(map.value()->redundancy, Redundancy::kMirror);
     ASSERT_EQ(map.value()->mirrors.size(),
@@ -162,12 +135,12 @@ TEST_F(RedundancyTest, MirroredCreateAllocatesReplicas)
 TEST_F(RedundancyTest, MirroredRoundTrip)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
     const auto data = pattern(700 * kKB, 9);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
     std::vector<std::uint8_t> out(700 * kKB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
@@ -175,9 +148,9 @@ TEST_F(RedundancyTest, MirroredRoundTrip)
 TEST_F(RedundancyTest, WritesLandOnBothCopies)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
     // Every drive hosts primaries AND mirrors: with 4 drives and 1 MB
     // striped twice, each drive sees writes for both roles.
     for (auto &d : drives)
@@ -187,14 +160,14 @@ TEST_F(RedundancyTest, WritesLandOnBothCopies)
 TEST_F(RedundancyTest, DegradedReadSurvivesSingleDriveFailure)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
     const auto data = pattern(kMB, 5);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     drives[2]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
@@ -206,15 +179,15 @@ TEST_F(RedundancyTest, DegradedReadSurvivesAnySingleFailure)
         for (auto &d : drives)
             d->setFailed(false);
         const auto id =
-            runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+            runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
                 .value();
         const auto data = pattern(512 * kKB,
                                   static_cast<std::uint8_t>(victim + 1));
-        ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+        ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
         drives[victim]->setFailed(true);
         std::vector<std::uint8_t> out(512 * kKB);
-        auto n = runFor(client->read(id, 0, out));
+        auto n = runFor(sim, client->read(id, 0, out));
         ASSERT_TRUE(n.ok()) << "victim drive " << victim;
         EXPECT_EQ(out, data) << "victim drive " << victim;
     }
@@ -223,57 +196,56 @@ TEST_F(RedundancyTest, DegradedReadSurvivesAnySingleFailure)
 TEST_F(RedundancyTest, DegradedWriteThenRecoveredRead)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB, 1))).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB, 1))).ok());
 
     // Write while one drive is down: succeeds on the surviving copy.
     drives[1]->setFailed(true);
     const auto updated = pattern(kMB, 77);
-    ASSERT_TRUE(runFor(client->write(id, 0, updated)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, updated)).ok());
 
     // Reads while degraded see the update.
     std::vector<std::uint8_t> out(kMB);
-    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
     EXPECT_EQ(out, updated);
 }
 
 TEST_F(RedundancyTest, DoubleFaultOnAPairLosesData)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
 
     // Primary on drive 0 mirrors to drive 1: failing both kills the
     // stripe units they host.
     drives[0]->setFailed(true);
     drives[1]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
-    auto r = runFor(client->read(id, 0, out));
+    auto r = runFor(sim, client->read(id, 0, out));
     ASSERT_FALSE(r.ok());
 }
 
 TEST_F(RedundancyTest, MirrorRequiresTwoDrives)
 {
     // A one-drive manager cannot satisfy kMirror.
-    std::vector<NasdDrive *> one = {raw[0]};
-    auto &node = net.addNode("mgr1", net::alphaStation500(),
-                             net::oc3Link(), net::dceRpcCosts());
+    std::vector<NasdDrive *> one = {drives[0]};
+    auto &node = net::addServerNode(net, "mgr1");
     CheopsManager small(sim, net, node, one, 1);
-    run(small.initialize(64 * kMB));
+    runTask(sim, small.initialize(64 * kMB));
     CheopsClient c(net, client_node, small, one);
-    auto id = runFor(c.create(64 * kKB, 0, 0, Redundancy::kMirror));
+    auto id = runFor(sim, c.create(64 * kKB, 0, 0, Redundancy::kMirror));
     ASSERT_FALSE(id.ok());
 }
 
 TEST_F(RedundancyTest, RemoveCleansUpReplicas)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
-    ASSERT_TRUE(runFor(client->remove(id)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
+    ASSERT_TRUE(runFor(sim, client->remove(id)).ok());
     for (auto &d : drives) {
         auto info = d->store().partitionInfo(0);
         EXPECT_EQ(info.value().object_count, 0u);
@@ -286,17 +258,17 @@ TEST_F(RedundancyTest, MirroringCostsOneExtraWrite)
     // Timing sanity: mirrored writes are slower than unmirrored (two
     // copies move), but reads cost the same when healthy.
     const auto plain =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
     const auto mirrored =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
     const auto data = pattern(kMB);
 
     sim::Tick t0 = sim.now();
-    ASSERT_TRUE(runFor(client->write(plain, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(plain, 0, data)).ok());
     const sim::Tick plain_write = sim.now() - t0;
     t0 = sim.now();
-    ASSERT_TRUE(runFor(client->write(mirrored, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(mirrored, 0, data)).ok());
     const sim::Tick mirrored_write = sim.now() - t0;
     EXPECT_GT(mirrored_write, plain_write);
 }
@@ -312,7 +284,7 @@ class ParityTest : public RedundancyTest
     LogicalObjectId
     createParity(std::uint32_t width = 0)
     {
-        return runFor(client->create(kSu, width, 0, Redundancy::kParity))
+        return runFor(sim, client->create(kSu, width, 0, Redundancy::kParity))
             .value();
     }
 
@@ -320,7 +292,7 @@ class ParityTest : public RedundancyTest
     std::uint32_t
     spareDrive(LogicalObjectId id)
     {
-        auto map = runFor(client->open(id, false)).value();
+        auto map = runFor(sim, client->open(id, false)).value();
         std::vector<bool> used(drives.size(), false);
         for (const auto &c : map->components)
             used[c.drive] = true;
@@ -336,7 +308,7 @@ class ParityTest : public RedundancyTest
 TEST_F(ParityTest, CreateAllocatesRotatingParityComponent)
 {
     const auto id = createParity(2);
-    auto map = runFor(client->open(id, false));
+    auto map = runFor(sim, client->open(id, false));
     ASSERT_TRUE(map.ok());
     EXPECT_EQ(map.value()->redundancy, Redundancy::kParity);
     // width data units + 1 parity, all on distinct drives, no mirrors.
@@ -358,12 +330,40 @@ TEST_F(ParityTest, RoundTrip)
 {
     const auto id = createParity();
     const auto data = pattern(700 * kKB, 9);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
     std::vector<std::uint8_t> out(700 * kKB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_FALSE(n.value().degraded());
     EXPECT_EQ(out, data);
+}
+
+// Regression: a write and a read racing to open one never-opened
+// object both missed the open-state cache, and the second open reply
+// replaced the cached state, freeing the row locks and credentials the
+// first op still held (heap-use-after-free under AddressSanitizer).
+TEST_F(ParityTest, RacingOpensShareOneOpenState)
+{
+    const auto id = createParity();
+    const auto data = pattern(kKB, 42);
+    std::vector<std::uint8_t> out(kKB);
+    bool wrote = false;
+    bool read = false;
+    sim.spawn([](CheopsClient &c, LogicalObjectId lid,
+                 std::span<const std::uint8_t> d, bool &ok) -> Task<void> {
+        ok = (co_await c.write(lid, 0, d)).ok();
+    }(*client, id, data, wrote));
+    sim.spawn([](CheopsClient &c, LogicalObjectId lid,
+                 std::span<std::uint8_t> o, bool &ok) -> Task<void> {
+        ok = (co_await c.read(lid, 0, o)).ok();
+    }(*client, id, out, read));
+    sim.run();
+    EXPECT_TRUE(wrote);
+    EXPECT_TRUE(read);
+
+    std::vector<std::uint8_t> after(kKB);
+    ASSERT_TRUE(runFor(sim, client->read(id, 0, after)).ok());
+    EXPECT_EQ(after, data);
 }
 
 TEST_F(ParityTest, RmwFswBoundaryOffsetsKeepParityConsistent)
@@ -388,20 +388,20 @@ TEST_F(ParityTest, RmwFswBoundaryOffsetsKeepParityConsistent)
     std::uint8_t seed = 40;
     for (const auto &[off, len] : cases) {
         const auto chunk = pattern(len, seed++);
-        ASSERT_TRUE(runFor(client->write(id, off, chunk)).ok());
+        ASSERT_TRUE(runFor(sim, client->write(id, off, chunk)).ok());
         std::copy(chunk.begin(), chunk.end(),
                   model.begin() + static_cast<std::ptrdiff_t>(off));
     }
 
     std::vector<std::uint8_t> out(model.size());
-    auto healthy = runFor(client->read(id, 0, out));
+    auto healthy = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(healthy.ok());
     EXPECT_EQ(out, model);
 
-    auto map = runFor(client->open(id, false)).value();
+    auto map = runFor(sim, client->open(id, false)).value();
     drives[map->components[1].drive]->setFailed(true);
     std::fill(out.begin(), out.end(), 0);
-    auto degraded = runFor(client->read(id, 0, out));
+    auto degraded = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(degraded.ok());
     EXPECT_TRUE(degraded.value().degraded());
     EXPECT_EQ(out, model);
@@ -416,11 +416,11 @@ TEST_F(ParityTest, DegradedReadSurvivesAnySingleFailure)
         const auto id = createParity(); // 3 data + parity over 4 drives
         const auto data = pattern(512 * kKB,
                                   static_cast<std::uint8_t>(victim + 1));
-        ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+        ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
         drives[victim]->setFailed(true);
         std::vector<std::uint8_t> out(512 * kKB);
-        auto n = runFor(client->read(id, 0, out));
+        auto n = runFor(sim, client->read(id, 0, out));
         ASSERT_TRUE(n.ok()) << "victim drive " << victim;
         EXPECT_EQ(out, data) << "victim drive " << victim;
     }
@@ -431,9 +431,9 @@ TEST_F(ParityTest, DegradedWriteUpdatesSurvivorsAndParity)
     const auto id = createParity(2);
     const std::uint64_t row_bytes = 2 * kSu;
     const auto data = pattern(4 * row_bytes, 11);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
-    auto map = runFor(client->open(id, false)).value();
+    auto map = runFor(sim, client->open(id, false)).value();
     const auto victim_drive = map->components[0].drive;
     drives[victim_drive]->setFailed(true);
 
@@ -442,12 +442,12 @@ TEST_F(ParityTest, DegradedWriteUpdatesSurvivorsAndParity)
     auto updated = data;
     const auto chunk = pattern(50 * kKB, 99);
     const std::uint64_t off = kSu + 1234; // touches the dead component's rows
-    ASSERT_TRUE(runFor(client->write(id, off, chunk)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, off, chunk)).ok());
     std::copy(chunk.begin(), chunk.end(),
               updated.begin() + static_cast<std::ptrdiff_t>(off));
 
     std::vector<std::uint8_t> out(updated.size());
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_TRUE(n.value().degraded());
     EXPECT_EQ(out, updated);
@@ -456,24 +456,23 @@ TEST_F(ParityTest, DegradedWriteUpdatesSurvivorsAndParity)
 TEST_F(ParityTest, DoubleFailureLosesData)
 {
     const auto id = createParity();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
-    auto map = runFor(client->open(id, false)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
+    auto map = runFor(sim, client->open(id, false)).value();
     drives[map->components[0].drive]->setFailed(true);
     drives[map->components[1].drive]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
-    auto r = runFor(client->read(id, 0, out));
+    auto r = runFor(sim, client->read(id, 0, out));
     ASSERT_FALSE(r.ok());
 }
 
 TEST_F(ParityTest, ParityRequiresThreeDrives)
 {
-    std::vector<NasdDrive *> two = {raw[0], raw[1]};
-    auto &node = net.addNode("mgr2", net::alphaStation500(),
-                             net::oc3Link(), net::dceRpcCosts());
+    std::vector<NasdDrive *> two = {drives[0], drives[1]};
+    auto &node = net::addServerNode(net, "mgr2");
     CheopsManager small(sim, net, node, two, 1);
-    run(small.initialize(64 * kMB));
+    runTask(sim, small.initialize(64 * kMB));
     CheopsClient c(net, client_node, small, two);
-    auto id = runFor(c.create(kSu, 0, 0, Redundancy::kParity));
+    auto id = runFor(sim, c.create(kSu, 0, 0, Redundancy::kParity));
     ASSERT_FALSE(id.ok());
 }
 
@@ -481,16 +480,16 @@ TEST_F(ParityTest, RebuildMovesComponentToSpare)
 {
     const auto id = createParity(2); // 3 components, 1 spare drive left
     const auto data = pattern(12 * 2 * kSu, 3);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     const std::uint32_t spare = spareDrive(id);
-    auto before = runFor(client->open(id, false)).value();
+    auto before = runFor(sim, client->open(id, false)).value();
     const std::uint32_t victim_comp = 0;
     const auto victim_drive = before->components[victim_comp].drive;
     drives[victim_drive]->setFailed(true);
 
     ASSERT_TRUE(
-        runFor(client->startRebuild(id, victim_comp, spare, {})).ok());
+        runFor(sim, client->startRebuild(id, victim_comp, spare, {})).ok());
     sim.run(); // drain the rebuild engine
 
     auto prog = mgr->rebuildProgress(id);
@@ -502,21 +501,21 @@ TEST_F(ParityTest, RebuildMovesComponentToSpare)
 
     // Reads come back healthy from the spare — the victim stays dead.
     std::vector<std::uint8_t> out(data.size());
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
-    auto after = runFor(client->open(id, false)).value();
+    auto after = runFor(sim, client->open(id, false)).value();
     EXPECT_EQ(after->components[victim_comp].drive, spare);
 }
 
 TEST_F(ParityTest, RebuildRejectsSpareSharingASpindle)
 {
     const auto id = createParity(2);
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(4 * kSu))).ok());
-    auto map = runFor(client->open(id, false)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(4 * kSu))).ok());
+    auto map = runFor(sim, client->open(id, false)).value();
     // A surviving component's drive cannot be the rebuild target.
     auto r = runFor(
-        client->startRebuild(id, 0, map->components[1].drive, {}));
+        sim, client->startRebuild(id, 0, map->components[1].drive, {}));
     ASSERT_FALSE(r.ok());
 }
 
@@ -525,10 +524,10 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     const auto id = createParity(2);
     const std::uint64_t row_bytes = 2 * kSu;
     const auto data = pattern(16 * row_bytes, 7);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     const std::uint32_t spare = spareDrive(id);
-    auto map = runFor(client->open(id, false)).value();
+    auto map = runFor(sim, client->open(id, false)).value();
     const std::uint32_t victim_comp = 1;
     drives[map->components[victim_comp].drive]->setFailed(true);
 
@@ -538,7 +537,7 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     throttle.token_interval_ns = 2'000'000;
     throttle.burst = 1;
     ASSERT_TRUE(
-        runFor(client->startRebuild(id, victim_comp, spare, throttle))
+        runFor(sim, client->startRebuild(id, victim_comp, spare, throttle))
             .ok());
 
     // Overwrite everything while the engine runs. The first component
@@ -547,7 +546,7 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     // to the spare — rows the engine already passed still get the new
     // bytes.
     const auto updated = pattern(16 * row_bytes, 123);
-    ASSERT_TRUE(runFor(client->write(id, 0, updated)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, updated)).ok());
     sim.run();
 
     auto prog = mgr->rebuildProgress(id);
@@ -556,7 +555,7 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     EXPECT_EQ(prog.rows_done, prog.rows_total);
 
     std::vector<std::uint8_t> out(updated.size());
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, updated);
 }
